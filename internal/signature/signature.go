@@ -4,8 +4,8 @@
 // diagnosis: compacting responses into one signature answers
 // pass/fail with near-zero storage but destroys the per-cell failure
 // information the paper's scheme registers for repair — and suffers
-// aliasing. The benchmark harness uses it to quantify what the
-// bit-by-bit comparator array of Fig. 3 buys.
+// aliasing. Only its own tests use it, as a worked contrast to what
+// the bit-by-bit comparator array of Fig. 3 buys.
 package signature
 
 import (

@@ -131,6 +131,16 @@ func RegisterEngine(e Engine) error {
 	return nil
 }
 
+// UnregisterEngine removes the engine registered under name, if any.
+// Sessions already built keep the engine they resolved; it exists so a
+// test (or a plug-in host) can retire an engine it registered and
+// register the name again later.
+func UnregisterEngine(name string) {
+	engineMu.Lock()
+	defer engineMu.Unlock()
+	delete(engines, name)
+}
+
 // LookupEngine resolves a scheme name, returning ErrUnknownScheme for
 // names no engine registered.
 func LookupEngine(name string) (Engine, error) {

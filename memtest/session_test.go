@@ -178,6 +178,7 @@ func TestThirdPartyEnginePluggable(t *testing.T) {
 	if err := RegisterEngine(ce); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { UnregisterEngine(ce.Name()) })
 	if err := RegisterEngine(ce); !errors.Is(err, ErrDuplicateEngine) {
 		t.Fatalf("second register err = %v, want ErrDuplicateEngine", err)
 	}

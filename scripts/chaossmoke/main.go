@@ -22,24 +22,20 @@
 package main
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/memtest"
+	"repro/scripts/internal/smokekit"
 	"repro/service"
 	"repro/service/client"
 )
@@ -82,7 +78,7 @@ func run() error {
 	// device-worker so the coordinator plans exactly three shards.
 	workerURLs := make([]string, 3)
 	for i := range workerURLs {
-		port, err := freePort()
+		port, err := smokekit.FreePort()
 		if err != nil {
 			return err
 		}
@@ -96,7 +92,7 @@ func run() error {
 		defer cmd.Process.Kill() //nolint:errcheck // reap on early exit
 	}
 	for i, u := range workerURLs {
-		if err := waitHealthy(u); err != nil {
+		if err := smokekit.WaitHealthy(u); err != nil {
 			return fmt.Errorf("worker %d: %w", i, err)
 		}
 	}
@@ -123,7 +119,7 @@ func run() error {
 		proxies[i], proxyURLs[i] = p, ps.URL
 	}
 
-	port, err := freePort()
+	port, err := smokekit.FreePort()
 	if err != nil {
 		return err
 	}
@@ -146,7 +142,7 @@ func run() error {
 		coordCmd.Process.Signal(syscall.SIGTERM) //nolint:errcheck
 		coordCmd.Wait()                          //nolint:errcheck
 	}()
-	if err := waitHealthy(base); err != nil {
+	if err := smokekit.WaitHealthy(base); err != nil {
 		return fmt.Errorf("coordinator: %w", err)
 	}
 
@@ -155,7 +151,7 @@ func run() error {
 		Delivery: "ordered",
 	}
 	log.Printf("chaossmoke: computing in-process reference stream")
-	want, err := referenceLines(req)
+	want, err := smokekit.ReferenceLines(req)
 	if err != nil {
 		return err
 	}
@@ -177,7 +173,7 @@ func run() error {
 	if err := waitWorkerState(ctx, c, flapper, "quarantined", 30*time.Second); err != nil {
 		return err
 	}
-	if quar, err := scrapeMetric(base, "coord_worker_quarantined"); err != nil {
+	if quar, err := smokekit.ScrapeMetric(base, "coord_worker_quarantined"); err != nil {
 		return err
 	} else if quar != 1 {
 		return fmt.Errorf("coord_worker_quarantined = %g during the outage, want 1", quar)
@@ -246,7 +242,7 @@ func run() error {
 
 	// Byte-identical through a stall, a steal, a probe outage and a
 	// pile of severed streams: the acceptance criterion.
-	got, err := rawLines(base + "/v1/jobs/" + st.ID + "/results")
+	got, err := smokekit.RawLines(base + "/v1/jobs/" + st.ID + "/results")
 	if err != nil {
 		return err
 	}
@@ -269,12 +265,12 @@ func run() error {
 
 	// Metrics corroborate the run, and the proxies prove the faults
 	// actually fired.
-	if steals, err := scrapeMetric(base, "coord_shard_steals_total"); err != nil {
+	if steals, err := smokekit.ScrapeMetric(base, "coord_shard_steals_total"); err != nil {
 		return err
 	} else if int(steals) < 1 {
 		return fmt.Errorf("coord_shard_steals_total = %g, want >= 1", steals)
 	}
-	if merged, err := scrapeMetric(base, "coord_merged_lines_total"); err != nil {
+	if merged, err := smokekit.ScrapeMetric(base, "coord_merged_lines_total"); err != nil {
 		return err
 	} else if int(merged) != req.Devices {
 		return fmt.Errorf("coord_merged_lines_total = %g, want %d", merged, req.Devices)
@@ -311,115 +307,5 @@ func waitWorkerState(ctx context.Context, c *client.Client, url, want string, pa
 			return fmt.Errorf("worker %s never reached state %q; fleet: %+v", url, want, ws)
 		}
 		time.Sleep(25 * time.Millisecond)
-	}
-}
-
-// referenceLines runs the request's session in-process and returns the
-// NDJSON lines a single fault-free node would stream.
-func referenceLines(req service.JobRequest) ([]string, error) {
-	s, err := memtest.New(req.Plan,
-		memtest.WithSeed(req.Seed), memtest.WithDRF(),
-		memtest.WithFleetDelivery(memtest.Ordered))
-	if err != nil {
-		return nil, err
-	}
-	var lines []string
-	for dr, err := range s.RunFleet(context.Background(), req.Devices) {
-		if err != nil {
-			return nil, err
-		}
-		data, err := json.Marshal(dr)
-		if err != nil {
-			return nil, err
-		}
-		lines = append(lines, string(data))
-	}
-	return lines, nil
-}
-
-func rawLines(url string) ([]string, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: HTTP %d", url, resp.StatusCode)
-	}
-	var lines []string
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64*1024), 16<<20)
-	for sc.Scan() {
-		if len(sc.Bytes()) > 0 {
-			lines = append(lines, sc.Text())
-		}
-	}
-	return lines, sc.Err()
-}
-
-// scrapeMetric fetches base+"/metrics" and sums every series of one
-// family (all label sets), erroring when the family is absent.
-func scrapeMetric(base, name string) (float64, error) {
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("GET /metrics: HTTP %d", resp.StatusCode)
-	}
-	sum, found := 0.0, false
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, name) {
-			continue
-		}
-		rest := line[len(name):]
-		if !strings.HasPrefix(rest, " ") && !strings.HasPrefix(rest, "{") {
-			continue
-		}
-		fields := strings.Fields(line)
-		v, err := strconv.ParseFloat(fields[len(fields)-1], 64)
-		if err != nil {
-			return 0, fmt.Errorf("bad sample %q: %v", line, err)
-		}
-		sum += v
-		found = true
-	}
-	if err := sc.Err(); err != nil {
-		return 0, err
-	}
-	if !found {
-		return 0, fmt.Errorf("metric %s absent from %s/metrics", name, base)
-	}
-	return sum, nil
-}
-
-// freePort grabs an ephemeral port and releases it for the daemon.
-func freePort() (int, error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return 0, err
-	}
-	defer l.Close()
-	return l.Addr().(*net.TCPAddr).Port, nil
-}
-
-// waitHealthy polls /v1/healthz until the daemon answers.
-func waitHealthy(base string) error {
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		resp, err := http.Get(base + "/v1/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("%s never became healthy: %v", base, err)
-		}
-		time.Sleep(50 * time.Millisecond)
 	}
 }

@@ -24,22 +24,17 @@
 package main
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/memtest"
+	"repro/scripts/internal/smokekit"
 	"repro/service"
 	"repro/service/client"
 )
@@ -75,7 +70,7 @@ func run() error {
 	}
 	dataDir := filepath.Join(tmp, "data")
 
-	port, err := freePort()
+	port, err := smokekit.FreePort()
 	if err != nil {
 		return err
 	}
@@ -87,7 +82,7 @@ func run() error {
 		if err := cmd.Start(); err != nil {
 			return nil, err
 		}
-		return cmd, waitHealthy(base)
+		return cmd, smokekit.WaitHealthy(base)
 	}
 
 	req := service.JobRequest{
@@ -96,7 +91,7 @@ func run() error {
 		Workers:  1, // serialize the fleet: the kill lands mid-job, not after it
 	}
 	log.Printf("resumesmoke: computing in-process reference stream")
-	want, err := referenceLines(req)
+	want, err := smokekit.ReferenceLines(req)
 	if err != nil {
 		return err
 	}
@@ -162,7 +157,7 @@ func run() error {
 	}
 	// Mid-run scrape: the live daemon must already expose device
 	// throughput series.
-	if v, err := scrapeMetric(base, "devices_completed_total"); err != nil {
+	if v, err := smokekit.ScrapeMetric(base, "devices_completed_total"); err != nil {
 		return fmt.Errorf("mid-run metrics: %w", err)
 	} else if v <= 0 {
 		return fmt.Errorf("mid-run devices_completed_total = %g, want > 0", v)
@@ -205,7 +200,7 @@ func run() error {
 	log.Printf("resumesmoke: job done, resumed from device %d", done.ResumedFrom)
 
 	// Byte-identical across the crash: the acceptance criterion.
-	got, err := rawLines(base + "/v1/jobs/" + st.ID + "/results")
+	got, err := smokekit.RawLines(base + "/v1/jobs/" + st.ID + "/results")
 	if err != nil {
 		return err
 	}
@@ -249,14 +244,14 @@ func run() error {
 		return fmt.Errorf("healthz uptime/version missing: %+v", h)
 	}
 	// /metrics must agree with healthz on what the restart cost.
-	resumed, err := scrapeMetric(base, "jobs_resumed_total")
+	resumed, err := smokekit.ScrapeMetric(base, "jobs_resumed_total")
 	if err != nil {
 		return err
 	}
 	if int(resumed) != h.JobsResumed {
 		return fmt.Errorf("jobs_resumed_total = %g, healthz says %d", resumed, h.JobsResumed)
 	}
-	rerun, err := scrapeMetric(base, "resume_devices_rerun_total")
+	rerun, err := smokekit.ScrapeMetric(base, "resume_devices_rerun_total")
 	if err != nil {
 		return err
 	}
@@ -292,7 +287,7 @@ func run() error {
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
-	rgot, err := rawLines(base + "/v1/jobs/" + rst.ID + "/results")
+	rgot, err := smokekit.RawLines(base + "/v1/jobs/" + rst.ID + "/results")
 	if err != nil {
 		return err
 	}
@@ -311,114 +306,4 @@ func run() error {
 	log.Printf("resumesmoke: OK (recovered %d, resumed %d, %d devices re-run)",
 		h.JobsRecovered, h.JobsResumed, h.ResumeDevicesRerun)
 	return nil
-}
-
-// scrapeMetric fetches /metrics and sums every series of the named
-// family (all label sets).
-func scrapeMetric(base, name string) (float64, error) {
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("GET /metrics: HTTP %d", resp.StatusCode)
-	}
-	sum, found := 0.0, false
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, name) {
-			continue
-		}
-		rest := line[len(name):]
-		if !strings.HasPrefix(rest, " ") && !strings.HasPrefix(rest, "{") {
-			continue
-		}
-		fields := strings.Fields(line)
-		v, err := strconv.ParseFloat(fields[len(fields)-1], 64)
-		if err != nil {
-			return 0, fmt.Errorf("bad sample %q: %v", line, err)
-		}
-		sum += v
-		found = true
-	}
-	if err := sc.Err(); err != nil {
-		return 0, err
-	}
-	if !found {
-		return 0, fmt.Errorf("metric %s absent from /metrics", name)
-	}
-	return sum, nil
-}
-
-// referenceLines runs the request's session in-process and returns the
-// NDJSON lines a crash-free server would stream.
-func referenceLines(req service.JobRequest) ([]string, error) {
-	s, err := memtest.New(req.Plan,
-		memtest.WithSeed(req.Seed), memtest.WithDRF(),
-		memtest.WithFleetDelivery(memtest.Ordered))
-	if err != nil {
-		return nil, err
-	}
-	var lines []string
-	for dr, err := range s.RunFleet(context.Background(), req.Devices) {
-		if err != nil {
-			return nil, err
-		}
-		data, err := json.Marshal(dr)
-		if err != nil {
-			return nil, err
-		}
-		lines = append(lines, string(data))
-	}
-	return lines, nil
-}
-
-func rawLines(url string) ([]string, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: HTTP %d", url, resp.StatusCode)
-	}
-	var lines []string
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64*1024), 16<<20)
-	for sc.Scan() {
-		if len(sc.Bytes()) > 0 {
-			lines = append(lines, sc.Text())
-		}
-	}
-	return lines, sc.Err()
-}
-
-// freePort grabs an ephemeral port and releases it for memtestd.
-func freePort() (int, error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return 0, err
-	}
-	defer l.Close()
-	return l.Addr().(*net.TCPAddr).Port, nil
-}
-
-// waitHealthy polls /v1/healthz until the daemon answers.
-func waitHealthy(base string) error {
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		resp, err := http.Get(base + "/v1/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("memtestd never became healthy on %s: %v", base, err)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
 }

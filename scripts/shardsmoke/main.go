@@ -24,22 +24,17 @@
 package main
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/memtest"
+	"repro/scripts/internal/smokekit"
 	"repro/service"
 	"repro/service/client"
 )
@@ -84,7 +79,7 @@ func run() error {
 	workers := make([]*exec.Cmd, 2)
 	workerURLs := make([]string, 2)
 	for i := range workers {
-		port, err := freePort()
+		port, err := smokekit.FreePort()
 		if err != nil {
 			return err
 		}
@@ -102,12 +97,12 @@ func run() error {
 		defer cmd.Process.Kill() //nolint:errcheck // reap on early exit; double-kill is harmless
 	}
 	for i, u := range workerURLs {
-		if err := waitHealthy(u); err != nil {
+		if err := smokekit.WaitHealthy(u); err != nil {
 			return fmt.Errorf("worker %d: %w", i, err)
 		}
 	}
 
-	port, err := freePort()
+	port, err := smokekit.FreePort()
 	if err != nil {
 		return err
 	}
@@ -132,7 +127,7 @@ func run() error {
 		coordCmd.Process.Signal(syscall.SIGTERM) //nolint:errcheck
 		coordCmd.Wait()                          //nolint:errcheck
 	}()
-	if err := waitHealthy(base); err != nil {
+	if err := smokekit.WaitHealthy(base); err != nil {
 		return fmt.Errorf("coordinator: %w", err)
 	}
 
@@ -142,7 +137,7 @@ func run() error {
 		Workers:  1, // serialize each shard: the kill lands mid-shard, not after it
 	}
 	log.Printf("shardsmoke: computing in-process reference stream")
-	want, err := referenceLines(req)
+	want, err := smokekit.ReferenceLines(req)
 	if err != nil {
 		return err
 	}
@@ -167,7 +162,7 @@ func run() error {
 	}
 	followed := make(chan outcome, 1)
 	go func() {
-		lines, err := rawLines(base + "/v1/jobs/" + st.ID + "/results")
+		lines, err := smokekit.RawLines(base + "/v1/jobs/" + st.ID + "/results")
 		followed <- outcome{lines, err}
 	}()
 
@@ -193,7 +188,7 @@ func run() error {
 			}
 			// Mid-run observability: the merge counter moves while the
 			// job runs, and the status carries computed progress.
-			if merged, err := scrapeMetric(base, "coord_merged_lines_total"); err != nil {
+			if merged, err := smokekit.ScrapeMetric(base, "coord_merged_lines_total"); err != nil {
 				return fmt.Errorf("mid-run metrics scrape: %w", err)
 			} else if merged <= 0 {
 				return fmt.Errorf("coord_merged_lines_total = %g mid-run, want > 0", merged)
@@ -258,12 +253,12 @@ func run() error {
 
 	// The failover is visible in the metrics: the re-dispatch counter
 	// matches the shard table and every merged device was counted.
-	if redisp, err := scrapeMetric(base, "coord_shard_redispatch_total"); err != nil {
+	if redisp, err := smokekit.ScrapeMetric(base, "coord_shard_redispatch_total"); err != nil {
 		return err
 	} else if int(redisp) < moved {
 		return fmt.Errorf("coord_shard_redispatch_total = %g, want >= %d", redisp, moved)
 	}
-	if merged, err := scrapeMetric(base, "coord_merged_lines_total"); err != nil {
+	if merged, err := smokekit.ScrapeMetric(base, "coord_merged_lines_total"); err != nil {
 		return err
 	} else if int(merged) != req.Devices {
 		return fmt.Errorf("coord_merged_lines_total = %g, want %d", merged, req.Devices)
@@ -271,7 +266,7 @@ func run() error {
 	log.Printf("shardsmoke: /metrics counted the re-dispatch and all %d merged devices", req.Devices)
 
 	// Byte-identical across the worker death: the acceptance criterion.
-	got, err := rawLines(base + "/v1/jobs/" + st.ID + "/results")
+	got, err := smokekit.RawLines(base + "/v1/jobs/" + st.ID + "/results")
 	if err != nil {
 		return err
 	}
@@ -339,114 +334,4 @@ func compare(got, want []string) error {
 		}
 	}
 	return nil
-}
-
-// referenceLines runs the request's session in-process and returns the
-// NDJSON lines a single crash-free node would stream.
-func referenceLines(req service.JobRequest) ([]string, error) {
-	s, err := memtest.New(req.Plan,
-		memtest.WithSeed(req.Seed), memtest.WithDRF(),
-		memtest.WithFleetDelivery(memtest.Ordered))
-	if err != nil {
-		return nil, err
-	}
-	var lines []string
-	for dr, err := range s.RunFleet(context.Background(), req.Devices) {
-		if err != nil {
-			return nil, err
-		}
-		data, err := json.Marshal(dr)
-		if err != nil {
-			return nil, err
-		}
-		lines = append(lines, string(data))
-	}
-	return lines, nil
-}
-
-func rawLines(url string) ([]string, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: HTTP %d", url, resp.StatusCode)
-	}
-	var lines []string
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64*1024), 16<<20)
-	for sc.Scan() {
-		if len(sc.Bytes()) > 0 {
-			lines = append(lines, sc.Text())
-		}
-	}
-	return lines, sc.Err()
-}
-
-// scrapeMetric fetches base+"/metrics" and sums every series of one
-// family (all label sets), erroring when the family is absent.
-func scrapeMetric(base, name string) (float64, error) {
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("GET /metrics: HTTP %d", resp.StatusCode)
-	}
-	sum, found := 0.0, false
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, name) {
-			continue
-		}
-		rest := line[len(name):]
-		if !strings.HasPrefix(rest, " ") && !strings.HasPrefix(rest, "{") {
-			continue
-		}
-		fields := strings.Fields(line)
-		v, err := strconv.ParseFloat(fields[len(fields)-1], 64)
-		if err != nil {
-			return 0, fmt.Errorf("bad sample %q: %v", line, err)
-		}
-		sum += v
-		found = true
-	}
-	if err := sc.Err(); err != nil {
-		return 0, err
-	}
-	if !found {
-		return 0, fmt.Errorf("metric %s absent from %s/metrics", name, base)
-	}
-	return sum, nil
-}
-
-// freePort grabs an ephemeral port and releases it for the daemon.
-func freePort() (int, error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return 0, err
-	}
-	defer l.Close()
-	return l.Addr().(*net.TCPAddr).Port, nil
-}
-
-// waitHealthy polls /v1/healthz until the daemon answers.
-func waitHealthy(base string) error {
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		resp, err := http.Get(base + "/v1/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("%s never became healthy: %v", base, err)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
 }

@@ -8,6 +8,9 @@
 // from absolute device indices, so the merged stream is byte-identical
 // to the same job run on one node.
 //
+// The job lifecycle (table, backlog, manifests, recovery, followers,
+// cancel, retention, close) is memtestd's own service.Kernel; this
+// package adds only the shard dispatch, ordered merge and stealing.
 // Failure handling layers on the single-node machinery instead of
 // reinventing it: worker streams are self-healing client reconnects
 // (a worker restart mid-shard resumes via the worker's own crash
@@ -21,12 +24,10 @@ package coord
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -147,38 +148,21 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Coordinator owns the coordinated-job table, the backlog, the worker
-// registry and the merge workers. It implements service.Backend.
+// Coordinator is memtest-coord's backend: the shared job kernel
+// running each job as shard dispatch plus ordered merge, over the
+// worker registry. It implements service.Backend.
 type Coordinator struct {
-	cfg   Config
-	reg   *registry
-	store store.Store
-	now   func() time.Time
+	cfg Config
+	k   *service.Kernel
+	reg *registry
+	now func() time.Time
 	// metrics is never nil; with Config.Metrics unset its instruments
 	// are nil no-ops. meter feeds the rolling merged-devices/s gauge;
-	// streamStats is shared by every shard stream; started anchors
-	// uptime.
+	// streamStats is shared by every shard stream.
 	metrics     *coordMetrics
 	log         *slog.Logger
 	meter       obs.Meter
 	streamStats client.StreamStats
-	started     time.Time
-
-	baseCtx context.Context
-	stop    context.CancelFunc
-	wg      sync.WaitGroup
-
-	mu      sync.Mutex
-	backlog []*job
-	qcond   *sync.Cond
-	jobs    map[string]*job
-	order   []string
-	seq     int
-	running int
-	closed  bool
-
-	jobsRecovered int
-	jobsResumed   int
 }
 
 // New seeds and sweeps the worker membership table, recovers any
@@ -190,50 +174,44 @@ type Coordinator struct {
 // coordinator and release the store.
 func New(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
-	st := cfg.Store
-	if st == nil {
-		st = store.NewMem()
-	}
 	log := cfg.Logger
 	if log == nil {
 		log = obs.Discard()
 	}
-	ctx, stop := context.WithCancel(context.Background())
 	c := &Coordinator{
 		cfg:     cfg,
 		reg:     newRegistry(cfg.Workers, cfg.HTTP, cfg),
-		store:   st,
 		now:     time.Now,
 		metrics: newCoordMetrics(cfg.Metrics),
 		log:     log,
-		baseCtx: ctx,
-		stop:    stop,
-		jobs:    map[string]*job{},
 	}
-	c.started = c.now()
-	c.qcond = sync.NewCond(&c.mu)
-	if err := c.reg.sweep(ctx); err != nil {
-		stop()
+	if err := c.reg.sweep(context.Background()); err != nil {
 		return nil, err
 	}
-	if err := c.recover(); err != nil {
-		stop()
+	k, err := service.NewKernel(service.KernelConfig{
+		Jobs: cfg.Jobs, Queue: cfg.Queue, Store: cfg.Store,
+		RetainJobs: cfg.RetainJobs, RetainBytes: cfg.RetainBytes, NoResume: cfg.NoResume,
+		Metrics: cfg.Metrics, Logger: cfg.Logger,
+	}, service.KernelHooks{
+		Run:          c.run,
+		Resumable:    resumable,
+		Plan:         c.plan,
+		Abort:        c.cancelShardJobs,
+		MetricPrefix: "coord_",
+		QueueMetric:  "coord_queue",
+		Restarter:    "coordinator",
+		Spool:        "merged spool",
+	})
+	if err != nil {
 		return nil, err
 	}
+	c.k = k
 	c.registerGauges(cfg.Metrics)
 	for _, w := range c.reg.list() {
 		c.registerWorkerGauges(w)
 	}
-	c.enforceRetention()
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		c.reg.prober(ctx)
-	}()
-	for range cfg.Jobs {
-		c.wg.Add(1)
-		go c.worker()
-	}
+	k.Go(c.reg.prober)
+	k.Start()
 	return c, nil
 }
 
@@ -259,16 +237,13 @@ func (c *Coordinator) AddWorker(rawURL string) (service.WorkerHealth, error) {
 	if err != nil {
 		return service.WorkerHealth{}, err
 	}
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
+	if c.k.Context().Err() != nil {
 		return service.WorkerHealth{}, service.ErrShuttingDown
 	}
 	w, fresh := c.reg.add(u)
 	if fresh {
 		c.registerWorkerGauges(w)
-		c.reg.probeOne(c.baseCtx, w) //nolint:errcheck // the view below reports the outcome
+		c.reg.probeOne(c.k.Context(), w) //nolint:errcheck // the view below reports the outcome
 		v := w.view(c.now())
 		c.log.Info("worker joined", "worker", u, "state", v.State, "error", v.Error)
 		return v, nil
@@ -304,335 +279,60 @@ func (c *Coordinator) Workers() []service.WorkerHealth {
 // (nil when unmetered). The server mounts GET /metrics over it.
 func (c *Coordinator) Metrics() *obs.Registry { return c.cfg.Metrics }
 
-// recover rebuilds the job table from the store, mirroring the
-// single-node manager's recovery: terminal jobs replay byte-
-// identically, and an interrupted job re-enqueues as resuming when its
-// manifest carries a usable request — the merged spool's whole-line
-// count (torn tail truncated) is the resume point, the shard table's
-// Merged counters are rebased onto it, and the merge re-attaches to
-// the recorded worker jobs for only the missing suffix.
-func (c *Coordinator) recover() error {
-	ids, err := c.store.Jobs()
-	if err != nil {
-		return fmt.Errorf("%w: %v", service.ErrStorage, err)
+// plan lays a job's shard table out over the live fleet. For a job
+// recovery re-enqueues it re-derives a table the manifest lacks, then
+// rebases the Merged counters onto the spooled prefix: the spool is
+// authoritative over the shard counters, since a crash between an
+// append and the next shard-boundary checkpoint leaves Merged stale.
+func (c *Coordinator) plan(req service.JobRequest, st *service.JobStatus) {
+	if len(st.Shards) == 0 {
+		st.Shards = planShards(req.FirstDevice, req.Devices, c.planWorkers(), c.cfg.MinShard)
 	}
-	for _, id := range ids {
-		spool, err := c.store.Open(id)
-		if err != nil {
-			return fmt.Errorf("%w: %v", service.ErrStorage, err)
-		}
-		raw, err := spool.Manifest()
-		if err != nil {
-			return fmt.Errorf("%w: %v", service.ErrStorage, err)
-		}
-		var mf manifest
-		if err := json.Unmarshal(raw, &mf); err != nil {
-			return fmt.Errorf("%w: manifest for %s: %v", service.ErrStorage, id, err)
-		}
-		st := mf.JobStatus
-		st.ID = id // the file name is authoritative
-		st.Recovered = true
-		j := &job{id: id, devices: st.Devices, spool: spool}
-		j.cond = sync.NewCond(&j.mu)
-		c.jobsRecovered++
-		interrupted := !st.State.Terminal()
-		if interrupted {
-			lines, linesErr := spool.Lines()
-			if linesErr == nil {
-				st.Completed = min(lines, st.Devices)
-			}
-			switch {
-			case linesErr != nil:
-				st.State = service.StateFailed
-				st.Error = fmt.Sprintf("interrupted by coordinator restart; merged spool unreadable: %v", linesErr)
-				t := c.now()
-				st.Finished = &t
-			case !c.cfg.NoResume && mf.Request != nil && c.resumable(*mf.Request):
-				j.req = *mf.Request
-				j.resume, j.resumeFrom = true, st.Completed
-				if len(st.Shards) == 0 {
-					st.Shards = planShards(j.req.FirstDevice, j.req.Devices, c.planWorkers(), c.cfg.MinShard)
-				}
-				// The spool is authoritative over the shard counters: a
-				// crash between an append and the next shard-boundary
-				// checkpoint leaves Merged stale.
-				rebaseMerged(st.Shards, st.Completed)
-				st.State = service.StateResuming
-				st.Resumed, st.ResumedFrom = true, st.Completed
-				st.Error = ""
-				st.Started, st.Finished = nil, nil
-				c.jobsResumed++
-			default:
-				st.State = service.StateFailed
-				st.Error = fmt.Sprintf("interrupted by coordinator restart; %d/%d device results retained", st.Completed, st.Devices)
-				t := c.now()
-				st.Finished = &t
-			}
-		}
-		j.status = st
-		switch {
-		case j.resume:
-			c.log.Info("job recovered, resuming merge", "job", id, "resume_from", j.resumeFrom, "devices", st.Devices)
-		case interrupted:
-			c.log.Warn("interrupted job recovered as failed", "job", id, "error", st.Error)
-		default:
-			c.log.Debug("job recovered", "job", id, "state", string(st.State))
-		}
-		if interrupted {
-			j.mu.Lock()
-			err := j.persist()
-			j.mu.Unlock()
-			if err != nil {
-				return err
-			}
-		}
-		var seq int
-		if _, err := fmt.Sscanf(id, "job-%d", &seq); err == nil && seq > c.seq {
-			c.seq = seq
-		}
-		c.jobs[id] = j
-		c.order = append(c.order, id)
-		if j.resume {
-			c.backlog = append(c.backlog, j)
-		}
-	}
-	return nil
+	rebaseMerged(st.Shards, st.Completed)
 }
 
 // resumable reports whether a recovered request can drive a resumed
 // merge. Unlike the single-node manager, any requested delivery
 // resumes: the coordinator always dispatches shards ordered and merges
 // in device order, so its spool is a device prefix regardless.
-func (c *Coordinator) resumable(req service.JobRequest) bool {
-	if req.Devices <= 0 {
-		return false
-	}
+func resumable(req service.JobRequest) bool {
 	_, err := req.Resolve()
 	return err == nil
 }
 
-func (c *Coordinator) worker() {
-	defer c.wg.Done()
-	for {
-		c.mu.Lock()
-		for len(c.backlog) == 0 && !c.closed {
-			c.qcond.Wait()
-		}
-		if c.closed {
-			c.mu.Unlock()
-			return
-		}
-		j := c.backlog[0]
-		c.backlog = c.backlog[1:]
-		c.mu.Unlock()
-		c.run(j)
-	}
-}
-
-// run executes one coordinated job: dispatch, ordered merge, terminal
-// state — with the same timeout and cancellation mapping as the
-// single-node manager. Worker jobs of incomplete shards are cancelled
-// when the job ends abnormally.
-func (c *Coordinator) run(j *job) {
-	var ctx context.Context
-	var cancel context.CancelFunc
-	if j.req.TimeoutSec > 0 {
-		ctx, cancel = context.WithTimeout(c.baseCtx, time.Duration(j.req.TimeoutSec*float64(time.Second)))
-	} else {
-		ctx, cancel = context.WithCancel(c.baseCtx)
-	}
-	defer cancel()
-	if !j.start(cancel, c.now()) {
-		return
-	}
-	if j.resume {
-		c.log.Info("job started", "job", j.id, "shards", len(j.snapshot().Shards), "resume_from", j.resumeFrom, "devices", j.devices)
-	} else {
-		c.log.Info("job started", "job", j.id, "shards", len(j.snapshot().Shards), "devices", j.devices)
-	}
-	c.mu.Lock()
-	c.running++
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		c.running--
-		c.mu.Unlock()
-	}()
-
+// run is the kernel's run hook: dispatch and ordered merge, watched
+// by the steal monitor when stealing is enabled.
+func (c *Coordinator) run(ctx context.Context, j *service.Job) error {
+	d := &drain{}
 	if c.cfg.StealThreshold > 0 {
-		// The steal monitor lives exactly as long as this run: cancel
-		// (deferred above) stops it when the merge returns.
-		go c.stealMonitor(ctx, j)
+		// The steal monitor lives exactly as long as this run: the
+		// kernel cancels ctx when the run ends.
+		go c.stealMonitor(ctx, j, d)
 	}
-	err := c.merge(ctx, j)
-	switch {
-	case err == nil:
-		j.finish(service.StateDone, nil, c.now())
-	case errors.Is(err, context.DeadlineExceeded):
-		j.finish(service.StateFailed, fmt.Errorf("%w (timeout_sec=%g)", service.ErrJobTimeout, j.req.TimeoutSec), c.now())
-	case errors.Is(err, context.Canceled):
-		j.finish(service.StateCancelled, err, c.now())
-	default:
-		j.finish(service.StateFailed, err, c.now())
-	}
-	if err != nil {
-		c.cancelShardJobs(j)
-	}
-	st := j.snapshot()
-	c.metrics.finished(st.State).Inc()
-	args := []any{"job", j.id, "state", string(st.State), "completed", st.Completed, "devices", st.Devices}
-	if st.Started != nil && st.Finished != nil {
-		d := st.Finished.Sub(*st.Started).Seconds()
-		c.metrics.jobDuration.Observe(d)
-		args = append(args, "duration_sec", d)
-	}
-	lvl := slog.LevelInfo
-	if st.State == service.StateFailed {
-		lvl = slog.LevelWarn
-		args = append(args, "error", st.Error)
-	}
-	c.log.Log(c.baseCtx, lvl, "job finished", args...)
-	c.enforceRetention()
+	return c.merge(ctx, j, d)
 }
 
 // Submit validates a job request, plans its shard table and enqueues
-// it. The same fail-fast contract as the single-node manager: a bad
-// request never occupies a queue slot, a full queue returns
+// it. A bad request never occupies a queue slot, a full queue returns
 // ErrQueueFull without blocking.
 func (c *Coordinator) Submit(req service.JobRequest) (service.JobStatus, error) {
-	if req.Devices <= 0 {
-		return service.JobStatus{}, fmt.Errorf("%w (got %d)", service.ErrBadDevices, req.Devices)
-	}
-	if req.FirstDevice < 0 {
-		return service.JobStatus{}, fmt.Errorf("%w (got %d)", service.ErrBadFirstDevice, req.FirstDevice)
-	}
-	if req.TimeoutSec < 0 {
-		return service.JobStatus{}, fmt.Errorf("%w (got %g)", service.ErrBadTimeout, req.TimeoutSec)
-	}
-	scheme, err := req.Resolve()
-	if err != nil {
-		return service.JobStatus{}, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return service.JobStatus{}, service.ErrShuttingDown
-	}
-	if len(c.backlog) >= c.cfg.Queue {
-		return service.JobStatus{}, fmt.Errorf("%w (capacity %d)", service.ErrQueueFull, c.cfg.Queue)
-	}
-	c.seq++
-	j := &job{
-		id:      fmt.Sprintf("job-%06d", c.seq),
-		req:     req,
-		devices: req.Devices,
-	}
-	j.cond = sync.NewCond(&j.mu)
-	j.status = service.JobStatus{
-		ID: j.id, State: service.StateQueued,
-		Plan: req.Plan.Name, Scheme: scheme,
-		Devices: req.Devices, FirstDevice: req.FirstDevice,
-		Shards:  planShards(req.FirstDevice, req.Devices, c.planWorkers(), c.cfg.MinShard),
-		Created: c.now(),
-	}
-	mf, err := json.Marshal(manifest{JobStatus: j.status, Request: &j.req})
-	if err != nil {
-		return service.JobStatus{}, err
-	}
-	spool, err := c.store.Create(j.id, mf)
-	if err != nil {
-		return service.JobStatus{}, fmt.Errorf("%w: %v", service.ErrStorage, err)
-	}
-	j.spool = spool
-	accepted := j.snapshot()
-	c.backlog = append(c.backlog, j)
-	c.jobs[j.id] = j
-	c.order = append(c.order, j.id)
-	c.qcond.Signal()
-	c.metrics.jobsSubmitted.Inc()
-	c.log.Info("job accepted", "job", j.id, "devices", req.Devices, "shards", len(accepted.Shards), "queued", len(c.backlog))
-	return accepted, nil
-}
-
-func (c *Coordinator) lookup(id string) (*job, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", service.ErrUnknownJob, id)
-	}
-	return j, nil
+	return c.k.Submit(req)
 }
 
 // Status returns a job's current state, shard table included.
-func (c *Coordinator) Status(id string) (service.JobStatus, error) {
-	j, err := c.lookup(id)
-	if err != nil {
-		return service.JobStatus{}, err
-	}
-	st := j.snapshot()
-	st.FillProgress(c.now())
-	return st, nil
-}
+func (c *Coordinator) Status(id string) (service.JobStatus, error) { return c.k.Status(id) }
 
 // Jobs lists every retained coordinated job in submission order.
-func (c *Coordinator) Jobs() []service.JobStatus {
-	c.mu.Lock()
-	jobs := make([]*job, 0, len(c.order))
-	for _, id := range c.order {
-		jobs = append(jobs, c.jobs[id])
-	}
-	c.mu.Unlock()
-	out := make([]service.JobStatus, len(jobs))
-	now := c.now()
-	for i, j := range jobs {
-		out[i] = j.snapshot()
-		out[i].FillProgress(now)
-	}
-	return out
-}
+func (c *Coordinator) Jobs() []service.JobStatus { return c.k.Jobs() }
 
 // Cancel stops a coordinated job; its dispatched worker jobs are
 // cancelled as the merge unwinds.
-func (c *Coordinator) Cancel(id string) (service.JobStatus, error) {
-	j, err := c.lookup(id)
-	if err != nil {
-		return service.JobStatus{}, err
-	}
-	c.mu.Lock()
-	for i, q := range c.backlog {
-		if q == j {
-			c.backlog = append(c.backlog[:i], c.backlog[i+1:]...)
-			break
-		}
-	}
-	c.mu.Unlock()
-	j.mu.Lock()
-	j.cancelled = true
-	switch j.status.State {
-	case service.StateQueued, service.StateResuming:
-		j.status.State = service.StateCancelled
-		j.status.Error = context.Canceled.Error()
-		t := c.now()
-		j.status.Finished = &t
-		j.persist() //nolint:errcheck // best effort: recovery marks a queued manifest failed anyway
-		j.cond.Broadcast()
-	case service.StateRunning:
-		j.cancelRun()
-	}
-	st := j.status
-	j.mu.Unlock()
-	return st, nil
-}
+func (c *Coordinator) Cancel(id string) (service.JobStatus, error) { return c.k.Cancel(id) }
 
 // Follow streams a job's merged result lines from line offset onward;
-// see job.follow for the contract.
+// see service.Backend.Follow for the contract.
 func (c *Coordinator) Follow(ctx context.Context, id string, offset int, emit func([]byte) error) (string, error) {
-	j, err := c.lookup(id)
-	if err != nil {
-		return "", err
-	}
-	return j.follow(ctx, offset, emit)
+	return c.k.Follow(ctx, id, offset, emit)
 }
 
 // Diagnose forwards the one-shot to a capable worker: the coordinator
@@ -676,99 +376,13 @@ func forwardErr(err error) error {
 // healthz scrape never fans out worker probes.
 func (c *Coordinator) Health() service.Health {
 	views, fleetWorkers, idle := c.reg.snapshot()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	h := service.Health{
-		Jobs: c.cfg.Jobs, Queue: c.cfg.Queue,
-		QueuedJobs: len(c.backlog), RunningJobs: c.running,
-		FleetWorkers:  fleetWorkers,
-		IdleWorkers:   idle,
-		JobsRecovered: c.jobsRecovered,
-		JobsResumed:   c.jobsResumed,
-		Workers:       views,
-		UptimeSec:     c.now().Sub(c.started).Seconds(),
-		Version:       obs.Version(),
-		DevicesPerSec: c.meter.Rate(),
-	}
-	if !c.cfg.NoResume {
-		h.Resume = true
-		h.ResumeDelivery = "ordered"
-	}
-	if d, ok := c.store.(interface{ Durable() bool }); ok {
-		h.Durable = d.Durable()
-	}
+	h := c.k.Health()
+	h.FleetWorkers, h.IdleWorkers, h.Workers = fleetWorkers, idle, views
+	h.DevicesPerSec = c.meter.Rate()
 	return h
 }
 
-// enforceRetention mirrors the single-node manager's eviction: oldest
-// finished jobs go first, running and resuming jobs never.
-func (c *Coordinator) enforceRetention() {
-	if c.cfg.RetainJobs <= 0 && c.cfg.RetainBytes <= 0 {
-		return
-	}
-	c.mu.Lock()
-	var total int64
-	finished := 0
-	for _, id := range c.order {
-		j := c.jobs[id]
-		total += j.spool.Size()
-		if j.snapshot().State.Terminal() {
-			finished++
-		}
-	}
-	var evict []string
-	for _, id := range c.order {
-		over := (c.cfg.RetainJobs > 0 && finished > c.cfg.RetainJobs) ||
-			(c.cfg.RetainBytes > 0 && total > c.cfg.RetainBytes)
-		if !over {
-			break
-		}
-		j := c.jobs[id]
-		if !j.snapshot().State.Terminal() {
-			continue
-		}
-		evict = append(evict, id)
-		finished--
-		total -= j.spool.Size()
-		delete(c.jobs, id)
-	}
-	if len(evict) > 0 {
-		c.metrics.evictions.Add(int64(len(evict)))
-		kept := c.order[:0]
-		for _, id := range c.order {
-			if _, ok := c.jobs[id]; ok {
-				kept = append(kept, id)
-			}
-		}
-		c.order = kept
-	}
-	c.mu.Unlock()
-	for _, id := range evict {
-		c.store.Remove(id) //nolint:errcheck // eviction is best effort; a leaked spool is re-evicted on restart
-	}
-}
-
-// Close stops accepting submissions, cancels every running merge,
-// waits for the workers to unwind, cancels the backlog and releases
-// the store. It is idempotent.
-func (c *Coordinator) Close() {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	c.closed = true
-	backlog := c.backlog
-	c.backlog = nil
-	c.qcond.Broadcast()
-	c.mu.Unlock()
-	c.stop()
-	c.wg.Wait()
-	for _, j := range backlog {
-		j.mu.Lock()
-		j.cancelled = true
-		j.mu.Unlock()
-		j.finish(service.StateCancelled, service.ErrShuttingDown, c.now())
-	}
-	c.store.Close() //nolint:errcheck // nothing left to do with a failing store at shutdown
-}
+// Close stops accepting submissions, cancels every running merge and
+// the prober, waits for them to unwind, cancels the backlog and
+// releases the store. It is idempotent.
+func (c *Coordinator) Close() { c.k.Close() }

@@ -9,21 +9,6 @@ import (
 	"repro/service/client"
 )
 
-// shard returns a copy of shard i's current state.
-func (j *job) shard(i int) service.ShardStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.status.Shards[i]
-}
-
-// shardCount reads the current shard-table length; the table can grow
-// mid-merge when a steal re-splits a straggler's remainder.
-func (j *job) shardCount() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.status.Shards)
-}
-
 // merge runs one coordinated job end to end: every shard without a
 // live worker job is dispatched up front — so the whole fleet computes
 // in parallel — and the shards are then drained strictly in device
@@ -33,17 +18,17 @@ func (j *job) shardCount() int {
 // concatenating their ordered streams is exactly the single stream.
 // The drain loop re-reads the table length every step because the
 // steal monitor may insert stolen sub-shards behind the drain point.
-func (c *Coordinator) merge(ctx context.Context, j *job) error {
-	for i := range j.shardCount() {
-		sh := j.shard(i)
+func (c *Coordinator) merge(ctx context.Context, j *service.Job, d *drain) error {
+	for i := range len(j.Status().Shards) {
+		sh := j.Status().Shards[i]
 		if sh.JobID == "" && sh.Lo+sh.Merged < sh.Hi {
 			if err := c.dispatch(ctx, j, i, ""); err != nil {
 				return err
 			}
 		}
 	}
-	for i := 0; i < j.shardCount(); i++ {
-		if err := c.drainShard(ctx, j, i); err != nil {
+	for i := 0; i < len(j.Status().Shards); i++ {
+		if err := c.drainShard(ctx, j, d, i); err != nil {
 			return err
 		}
 	}
@@ -56,8 +41,8 @@ func (c *Coordinator) merge(ctx context.Context, j *job) error {
 // the submission (queue full, mid-restart) joins the round's refused
 // set so it cannot be re-picked and re-refused; dispatch fails only
 // when no worker outside that set is active.
-func (c *Coordinator) dispatch(ctx context.Context, j *job, i int, avoid string) error {
-	sh := j.shard(i)
+func (c *Coordinator) dispatch(ctx context.Context, j *service.Job, i int, avoid string) error {
+	sh := j.Status().Shards[i]
 	lo := sh.Lo + sh.Merged
 	req := c.shardRequest(j, lo, sh.Hi)
 	refused := map[string]bool{}
@@ -79,14 +64,12 @@ func (c *Coordinator) dispatch(ctx context.Context, j *job, i int, avoid string)
 			}
 			continue
 		}
-		j.mu.Lock()
-		j.status.Shards[i].Worker = w.url
-		j.status.Shards[i].JobID = st.ID
-		j.status.Shards[i].DispatchLo = lo
-		j.persist() //nolint:errcheck // the next persist (or recovery's re-dispatch) repairs a missed write
-		j.mu.Unlock()
+		j.Update(func(js *service.JobStatus) bool {
+			js.Shards[i].Worker, js.Shards[i].JobID, js.Shards[i].DispatchLo = w.url, st.ID, lo
+			return true
+		})
 		c.metrics.shardDispatch.Inc()
-		c.log.Info("shard dispatched", "job", j.id, "shard", i, "worker", w.url, "job_id", st.ID, "lo", lo, "hi", sh.Hi)
+		c.log.Info("shard dispatched", "job", j.ID, "shard", i, "worker", w.url, "job_id", st.ID, "lo", lo, "hi", sh.Hi)
 		return nil
 	}
 	return fmt.Errorf("coord: dispatch shard [%d,%d): %w", lo, sh.Hi, lastErr)
@@ -94,17 +77,17 @@ func (c *Coordinator) dispatch(ctx context.Context, j *job, i int, avoid string)
 
 // shardRequest derives the worker job request for the device range
 // [lo, hi) of coordinated job j.
-func (c *Coordinator) shardRequest(j *job, lo, hi int) service.JobRequest {
+func (c *Coordinator) shardRequest(j *service.Job, lo, hi int) service.JobRequest {
 	return service.JobRequest{
-		Plan:        j.req.Plan,
+		Plan:        j.Req.Plan,
 		Devices:     hi - lo,
 		FirstDevice: lo,
-		Scheme:      j.req.Scheme,
-		DRF:         j.req.DRF,
-		Seed:        j.req.Seed,
-		Workers:     j.req.Workers,
+		Scheme:      j.Req.Scheme,
+		DRF:         j.Req.DRF,
+		Seed:        j.Req.Seed,
+		Workers:     j.Req.Workers,
 		Delivery:    "ordered", // resume and merge both need an ordered spool
-		Repair:      j.req.Repair,
+		Repair:      j.Req.Repair,
 	}
 }
 
@@ -116,15 +99,13 @@ func (c *Coordinator) shardRequest(j *job, lo, hi int) service.JobRequest {
 // missing remainder [Lo+Merged, Hi) to another capable worker, up to
 // the configured re-dispatch budget. The shard's Hi can shrink under a
 // running stream when the steal monitor re-splits the remainder, so
-// every append is bounds-checked atomically (job.appendShard) and the
+// every append is bounds-checked atomically (appendShard) and the
 // shard is re-read after every stream end before any failure handling.
-func (c *Coordinator) drainShard(ctx context.Context, j *job, i int) error {
+func (c *Coordinator) drainShard(ctx context.Context, j *service.Job, d *drain, i int) error {
 	for {
-		sh := j.shard(i)
+		sh := j.Status().Shards[i]
 		if sh.Merged >= sh.Hi-sh.Lo {
-			j.mu.Lock()
-			j.persist() //nolint:errcheck // shard-boundary checkpoint; the spool stays authoritative
-			j.mu.Unlock()
+			j.Update(checkpoint)
 			return nil
 		}
 		if sh.JobID == "" {
@@ -143,7 +124,7 @@ func (c *Coordinator) drainShard(ctx context.Context, j *job, i int) error {
 			// the job so the steal monitor can interrupt a drain that is
 			// parked on a stalled stream it just stole the remainder of.
 			attemptCtx, cancelAttempt := context.WithCancel(ctx)
-			j.setDrain(i, cancelAttempt)
+			d.set(j, i, cancelAttempt)
 			// The worker job's line k is device DispatchLo+k, so the next
 			// device this merge needs sits at this offset in its spool.
 			offset := sh.Lo + sh.Merged - sh.DispatchLo
@@ -154,9 +135,9 @@ func (c *Coordinator) drainShard(ctx context.Context, j *job, i int) error {
 					streamErr = err
 					break
 				}
-				ok, full, aerr := j.appendShard(i, line)
+				ok, full, aerr := appendShard(j, i, line)
 				if aerr != nil {
-					j.clearDrain()
+					d.clear(j)
 					cancelAttempt()
 					return aerr // own storage failed; re-dispatching cannot help
 				}
@@ -172,7 +153,7 @@ func (c *Coordinator) drainShard(ctx context.Context, j *job, i int) error {
 					break
 				}
 			}
-			j.clearDrain()
+			d.clear(j)
 			interrupted = attemptCtx.Err() != nil && ctx.Err() == nil
 			cancelAttempt()
 		}
@@ -183,11 +164,9 @@ func (c *Coordinator) drainShard(ctx context.Context, j *job, i int) error {
 		// [Lo,Hi) mid-stream, completing the shard regardless of how the
 		// stream ended (including the JobError from the superseded worker
 		// job being cancelled).
-		sh = j.shard(i)
+		sh = j.Status().Shards[i]
 		if sh.Merged >= sh.Hi-sh.Lo {
-			j.mu.Lock()
-			j.persist() //nolint:errcheck // shard-boundary checkpoint; the spool stays authoritative
-			j.mu.Unlock()
+			j.Update(checkpoint)
 			return nil
 		}
 		if interrupted {
@@ -197,15 +176,16 @@ func (c *Coordinator) drainShard(ctx context.Context, j *job, i int) error {
 			streamErr = fmt.Errorf("coord: worker %s job %s ended %d lines short of shard [%d,%d)",
 				sh.Worker, sh.JobID, sh.Hi-sh.Lo-sh.Merged, sh.Lo, sh.Hi)
 		}
-		j.mu.Lock()
-		j.status.Shards[i].Redispatches++
-		redispatches := j.status.Shards[i].Redispatches
-		j.status.Shards[i].JobID = ""
-		j.persist() //nolint:errcheck // shard-boundary checkpoint; the spool stays authoritative
-		j.mu.Unlock()
+		var redispatches int
+		j.Update(func(st *service.JobStatus) bool {
+			st.Shards[i].Redispatches++
+			redispatches = st.Shards[i].Redispatches
+			st.Shards[i].JobID = ""
+			return true
+		})
 		c.metrics.shardRedispatch.Inc()
 		c.log.Warn("shard stream failed, re-dispatching remainder",
-			"job", j.id, "shard", i, "worker", sh.Worker, "merged", sh.Merged, "redispatches", redispatches, "error", streamErr)
+			"job", j.ID, "shard", i, "worker", sh.Worker, "merged", sh.Merged, "redispatches", redispatches, "error", streamErr)
 		if redispatches > c.cfg.Redispatches {
 			return fmt.Errorf("coord: shard [%d,%d) abandoned after %d re-dispatches: %w",
 				sh.Lo, sh.Hi, c.cfg.Redispatches, streamErr)
@@ -216,10 +196,10 @@ func (c *Coordinator) drainShard(ctx context.Context, j *job, i int) error {
 // cancelShardJobs best-effort cancels the worker jobs of every
 // incomplete shard, so an abandoned coordinated job does not leave
 // workers diagnosing devices nobody will merge.
-func (c *Coordinator) cancelShardJobs(j *job) {
+func (c *Coordinator) cancelShardJobs(j *service.Job) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	for _, sh := range j.snapshot().Shards {
+	for _, sh := range j.Status().Shards {
 		if sh.JobID == "" || sh.Merged >= sh.Hi-sh.Lo {
 			continue
 		}
@@ -228,3 +208,7 @@ func (c *Coordinator) cancelShardJobs(j *job) {
 		}
 	}
 }
+
+// checkpoint is the shard-boundary Update: it only re-persists the
+// manifest (the spool stays authoritative).
+func checkpoint(*service.JobStatus) bool { return true }

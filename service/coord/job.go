@@ -2,198 +2,54 @@ package coord
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"sync"
-	"time"
 
 	"repro/service"
-	"repro/service/store"
 )
 
-// job is one coordinated fleet diagnosis: the submission, the merged
-// result spool, the shard dispatch table (inside status.Shards) and
-// the follower plumbing — the coordinator-side mirror of the
-// single-node manager's job.
-type job struct {
-	id      string
-	req     service.JobRequest
-	devices int
-	// resumeFrom, for a job re-enqueued as resuming after a coordinator
-	// restart, is the merged line count the merge restarts at.
-	resume     bool
-	resumeFrom int
-	spool      store.Job
-
-	mu        sync.Mutex
-	cond      *sync.Cond
-	status    service.JobStatus
-	cancelRun context.CancelFunc // set while running
-	cancelled bool               // cancel requested (before or during the run)
-
-	// drainIdx/drainCancel name the shard whose stream the merge loop is
-	// currently draining and the cancel for that single attempt; the
-	// steal monitor uses them to un-park a drain whose remainder it just
-	// re-assigned (the stream may be stalled and would otherwise never
-	// notice its shard shrank).
-	drainIdx    int
-	drainCancel context.CancelFunc
+// drain names the shard whose stream the merge loop is currently
+// draining and the cancel for that single attempt; the steal monitor
+// uses them to un-park a drain whose remainder it just re-assigned (the
+// stream may be stalled and would otherwise never notice its shard
+// shrank). It lives for one run and is only touched inside the job's
+// Update, so the job lock guards it.
+type drain struct {
+	idx    int
+	cancel context.CancelFunc
 }
 
-func (j *job) snapshot() service.JobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st := j.status
-	st.Shards = append([]service.ShardStatus(nil), j.status.Shards...)
-	return st
-}
-
-// manifest is the durable form of a coordinated job: its wire status
-// (shard table included) plus the original request, which a restarted
-// coordinator needs to re-derive the shard plan and resume the merge.
-type manifest struct {
-	service.JobStatus
-	Request *service.JobRequest `json:"request,omitempty"`
-}
-
-// persist writes the job's current status into its spool manifest.
-// Call with j.mu held (j.req is immutable once the job is enqueued).
-func (j *job) persist() error {
-	m := manifest{JobStatus: j.status}
-	if j.req.Devices > 0 {
-		m.Request = &j.req
-	}
-	raw, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	if err := j.spool.WriteManifest(raw); err != nil {
-		return fmt.Errorf("%w: %v", service.ErrStorage, err)
-	}
-	return nil
-}
-
-// start transitions queued -> running; it reports false when the job
-// was cancelled while still queued.
-func (j *job) start(cancel context.CancelFunc, now time.Time) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.cancelled {
+// set registers the cancel func for the drain attempt on shard i;
+// clear unregisters it. Only the merge goroutine writes these (one
+// drain at a time), the steal monitor fires the cancel under the job
+// lock.
+func (d *drain) set(j *service.Job, i int, cancel context.CancelFunc) {
+	j.Update(func(*service.JobStatus) bool {
+		d.idx, d.cancel = i, cancel
 		return false
-	}
-	j.status.State = service.StateRunning
-	t := now
-	j.status.Started = &t
-	j.cancelRun = cancel
-	j.persist() //nolint:errcheck // a failing manifest write must not kill a runnable job; the spool is authoritative
-	j.cond.Broadcast()
-	return true
+	})
 }
+
+func (d *drain) clear(j *service.Job) { d.set(j, 0, nil) }
 
 // appendShard spools one merged device line for shard i and wakes
 // followers. The boundary check, the spool append and the counters are
-// one critical section on purpose: the steal monitor moves shard
-// boundaries under j.mu, so an append that checked Hi outside the lock
-// could spool a line past a freshly shrunk shard and duplicate it with
-// the stolen shard's stream. Returns accepted=false when the shard is
-// already full (the line belongs to a stolen shard's worker job now),
-// full=true when this line completed the shard, and a non-nil error
-// only for a spool failure — results the coordinator cannot retain
-// must not silently vanish from late readers.
-func (j *job) appendShard(i int, line []byte) (accepted, full bool, err error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	sh := &j.status.Shards[i]
-	if sh.Lo+sh.Merged >= sh.Hi {
-		return false, true, nil
-	}
-	if err := j.spool.Append(line); err != nil {
-		return false, false, fmt.Errorf("%w: %v", service.ErrStorage, err)
-	}
-	sh.Merged++
-	j.status.Completed++
-	j.cond.Broadcast()
-	return true, sh.Lo+sh.Merged >= sh.Hi, nil
-}
-
-// setDrain registers the cancel func for the drain attempt on shard i;
-// clearDrain unregisters it. Only the merge goroutine writes these (one
-// drain at a time), the steal monitor fires the cancel under j.mu.
-func (j *job) setDrain(i int, cancel context.CancelFunc) {
-	j.mu.Lock()
-	j.drainIdx, j.drainCancel = i, cancel
-	j.mu.Unlock()
-}
-
-func (j *job) clearDrain() {
-	j.mu.Lock()
-	j.drainIdx, j.drainCancel = 0, nil
-	j.mu.Unlock()
-}
-
-// finish moves the job to a terminal state, persists the final
-// manifest and wakes followers; the spool flush first makes the
-// terminal manifest trustworthy.
-func (j *job) finish(state service.State, err error, now time.Time) {
-	j.spool.Flush() //nolint:errcheck // a failing flush surfaces via the manifest write or the next Read
-	j.mu.Lock()
-	j.status.State = state
-	if err != nil {
-		j.status.Error = err.Error()
-	}
-	t := now
-	j.status.Finished = &t
-	j.cancelRun = nil
-	j.persist() //nolint:errcheck // best effort: recovery marks a running manifest failed anyway
-	j.cond.Broadcast()
-	j.mu.Unlock()
-}
-
-// follow replays the job's merged lines from `offset` and tails live
-// appends until the job is terminal or ctx ends — the same contract as
-// the single-node manager's follower (the server's results handler
-// depends on it being identical).
-func (j *job) follow(ctx context.Context, offset int, emit func([]byte) error) (string, error) {
-	stop := context.AfterFunc(ctx, func() {
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		j.cond.Broadcast()
+// one critical section on purpose (Job.AppendIf): the steal monitor
+// moves shard boundaries under the job lock, so an append that checked
+// Hi outside the lock could spool a line past a freshly shrunk shard
+// and duplicate it with the stolen shard's stream. Returns
+// accepted=false when the shard is already full (the line belongs to a
+// stolen shard's worker job now), full=true when this line completed
+// the shard, and a non-nil error only for a spool failure — results
+// the coordinator cannot retain must not silently vanish from late
+// readers.
+func appendShard(j *service.Job, i int, line []byte) (accepted, full bool, err error) {
+	accepted, err = j.AppendIf(line, func(st *service.JobStatus) *int {
+		sh := &st.Shards[i]
+		left := sh.Hi - sh.Lo - sh.Merged
+		full = left <= 1
+		if left <= 0 {
+			return nil
+		}
+		return &sh.Merged
 	})
-	defer stop()
-
-	next := max(offset, 0)
-	for {
-		j.mu.Lock()
-		for next >= j.status.Completed && !j.status.State.Terminal() && ctx.Err() == nil {
-			j.cond.Wait()
-		}
-		n := j.status.Completed
-		state, jobErr := j.status.State, j.status.Error
-		j.mu.Unlock()
-
-		// Merged lines below n are immutable; read outside the lock.
-		if n > next {
-			var emitErr error
-			err := j.spool.Read(next, n, func(line []byte) error {
-				if e := emit(line); e != nil {
-					emitErr = e
-					return e
-				}
-				return nil
-			})
-			if emitErr != nil {
-				return "", emitErr
-			}
-			if err != nil {
-				return "", fmt.Errorf("%w: %v", service.ErrStorage, err)
-			}
-			next = n
-		}
-		if state.Terminal() {
-			return jobErr, nil
-		}
-		if err := ctx.Err(); err != nil {
-			return "", err
-		}
-	}
+	return accepted, full, err
 }

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/service"
 )
 
 // coordMetrics bundles the coordinator's event-driven instruments,
@@ -12,93 +11,43 @@ import (
 // workers never conflates the two layers. With a nil registry every
 // instrument is a nil no-op, same contract as the manager's.
 type coordMetrics struct {
-	jobsSubmitted   *obs.Counter
-	jobsDone        *obs.Counter
-	jobsFailed      *obs.Counter
-	jobsCancelled   *obs.Counter
 	mergedLines     *obs.Counter
 	shardDispatch   *obs.Counter
 	shardRedispatch *obs.Counter
 	shardSteals     *obs.Counter
-	evictions       *obs.Counter
-	jobDuration     *obs.Histogram
 }
 
 func newCoordMetrics(reg *obs.Registry) *coordMetrics {
 	return &coordMetrics{
-		jobsSubmitted:   reg.Counter("coord_jobs_submitted_total", "Coordinated jobs accepted by Submit."),
-		jobsDone:        reg.Counter("coord_jobs_finished_total", "Coordinated jobs reaching a terminal state.", "state", "done"),
-		jobsFailed:      reg.Counter("coord_jobs_finished_total", "Coordinated jobs reaching a terminal state.", "state", "failed"),
-		jobsCancelled:   reg.Counter("coord_jobs_finished_total", "Coordinated jobs reaching a terminal state.", "state", "cancelled"),
 		mergedLines:     reg.Counter("coord_merged_lines_total", "Worker result lines merged into coordinated spools, in device order."),
 		shardDispatch:   reg.Counter("coord_shard_dispatch_total", "Shard ranges submitted to workers (first dispatches and re-dispatches)."),
 		shardRedispatch: reg.Counter("coord_shard_redispatch_total", "Shards moved to a new worker after a stream failed past the reconnect budget."),
 		shardSteals:     reg.Counter("coord_shard_steals_total", "Straggler shard remainders re-split and re-dispatched to idle workers."),
-		evictions:       reg.Counter("coord_retention_evictions_total", "Finished coordinated jobs evicted by the retention caps."),
-		jobDuration:     reg.Histogram("coord_job_duration_seconds", "Coordinated job wall time from start to terminal state.", obs.DurationBuckets),
 	}
 }
 
-// finished returns the coord_jobs_finished_total series for a terminal
-// state.
-func (x *coordMetrics) finished(state service.State) *obs.Counter {
-	switch state {
-	case service.StateDone:
-		return x.jobsDone
-	case service.StateCancelled:
-		return x.jobsCancelled
-	default:
-		return x.jobsFailed
-	}
-}
-
-// registerGauges wires the scrape-time views: queue and merge state,
-// the self-healing stream totals, and the per-worker fleet ledger. The
-// worker gauges read the state recorded by the last probe (dispatch,
-// health or startup sweep) under the worker's own lock — a scrape never
-// issues fleet HTTP probes.
+// registerGauges wires the scrape-time views the kernel does not
+// already export: merge state and the self-healing stream totals. The
+// per-worker gauges (registerWorkerGauges) read the state recorded by
+// the last probe under the worker's own lock — a scrape never issues
+// fleet HTTP probes.
 func (c *Coordinator) registerGauges(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	reg.GaugeFunc("coord_queue_depth", "Coordinated jobs waiting in the bounded backlog.", func() float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return float64(len(c.backlog))
-	})
-	reg.GaugeFunc("coord_queue_capacity", "Configured backlog capacity.", func() float64 {
-		return float64(c.cfg.Queue)
-	})
 	reg.GaugeFunc("coord_jobs_running", "Coordinated jobs currently merging.", func() float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return float64(c.running)
+		return float64(c.k.Health().RunningJobs)
 	})
 	reg.GaugeFunc("coord_merge_backlog_devices", "Devices still unmerged across non-terminal jobs (merge lag).", func() float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
 		var lag int
-		for _, j := range c.jobs {
-			if st := j.snapshot(); !st.State.Terminal() {
+		for _, st := range c.k.Jobs() {
+			if !st.State.Terminal() {
 				lag += st.Devices - st.Completed
 			}
 		}
 		return float64(lag)
 	})
 	reg.GaugeFunc("coord_devices_per_sec", "Rolling merged-device rate over the last few seconds.", c.meter.Rate)
-	reg.GaugeFunc("uptime_seconds", "Seconds since this process started.", func() float64 {
-		return c.now().Sub(c.started).Seconds()
-	})
-	reg.CounterFunc("coord_jobs_recovered_total", "Coordinated jobs restored from the data directory at startup.", func() float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return float64(c.jobsRecovered)
-	})
-	reg.CounterFunc("coord_jobs_resumed_total", "Recovered coordinated jobs re-enqueued to resume an interrupted merge.", func() float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return float64(c.jobsResumed)
-	})
 	reg.CounterFunc("coord_stream_reconnects_total", "Shard-stream reconnect attempts across the fleet.", func() float64 {
 		return float64(c.streamStats.Reconnects.Load())
 	})

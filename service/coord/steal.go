@@ -14,7 +14,7 @@ import (
 // work that provably has not been merged: the commit re-checks the
 // shard under the job lock, so a remainder that moved while the steal
 // was being planned is left alone.
-func (c *Coordinator) stealMonitor(ctx context.Context, j *job) {
+func (c *Coordinator) stealMonitor(ctx context.Context, j *service.Job, d *drain) {
 	t := time.NewTicker(c.cfg.StealInterval)
 	defer t.Stop()
 	for {
@@ -22,7 +22,7 @@ func (c *Coordinator) stealMonitor(ctx context.Context, j *job) {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			c.maybeSteal(ctx, j)
+			c.maybeSteal(ctx, j, d)
 		}
 	}
 }
@@ -68,15 +68,19 @@ func (c *Coordinator) shardRemainders(ctx context.Context, shards []service.Shar
 // point and cancel the superseded worker job. Absolute-index seeding
 // keeps the merged stream byte-identical: the stolen shards produce
 // exactly the lines the straggler would have.
-func (c *Coordinator) maybeSteal(ctx context.Context, j *job) {
-	j.mu.Lock()
-	if j.status.State != service.StateRunning {
-		j.mu.Unlock()
+func (c *Coordinator) maybeSteal(ctx context.Context, j *service.Job, d *drain) {
+	var shards []service.ShardStatus
+	drainIdx := 0
+	j.Update(func(st *service.JobStatus) bool {
+		if st.State == service.StateRunning {
+			shards = append(shards, st.Shards...)
+			drainIdx = d.idx
+		}
+		return false
+	})
+	if shards == nil {
 		return
 	}
-	shards := append([]service.ShardStatus(nil), j.status.Shards...)
-	drainIdx := j.drainIdx
-	j.mu.Unlock()
 	for _, sh := range shards {
 		if sh.Merged < sh.Hi-sh.Lo && sh.JobID == "" {
 			return // a dispatch or re-dispatch is in flight; sizing would race it
@@ -120,7 +124,7 @@ func (c *Coordinator) maybeSteal(ctx context.Context, j *job) {
 			dispatched++
 		} else {
 			c.log.Warn("steal dispatch refused, leaving sub-range for the merge loop",
-				"job", j.id, "worker", w.url, "lo", p.Lo, "hi", p.Hi, "error", err)
+				"job", j.ID, "worker", w.url, "lo", p.Lo, "hi", p.Hi, "error", err)
 		}
 		stolen = append(stolen, sh)
 	}
@@ -144,33 +148,34 @@ func (c *Coordinator) maybeSteal(ctx context.Context, j *job) {
 	// built from — same range, same worker job, merge point unmoved. A
 	// healthy stream that merged even one line in the meantime aborts
 	// the steal, so only genuinely stalled remainders ever move.
-	j.mu.Lock()
 	committed := false
 	var interrupt context.CancelFunc
-	if j.status.State == service.StateRunning && vi < len(j.status.Shards) {
-		v := &j.status.Shards[vi]
-		if v.Hi == victim.Hi && v.JobID == victim.JobID && v.Lo+v.Merged == cut {
-			v.Hi = cut // the victim shard is now complete at its merge point
-			tail := append(stolen, j.status.Shards[vi+1:]...)
-			j.status.Shards = append(j.status.Shards[:vi+1], tail...)
-			j.status.Steals++
-			j.persist() //nolint:errcheck // the next persist (or recovery's rebase) repairs a missed write
-			j.cond.Broadcast()
-			committed = true
-			if j.drainIdx == vi && j.drainCancel != nil {
-				// Un-park the merge loop's drain of the superseded stream.
-				interrupt = j.drainCancel
-			}
+	j.Update(func(st *service.JobStatus) bool {
+		if st.State != service.StateRunning || vi >= len(st.Shards) {
+			return false
 		}
-	}
-	j.mu.Unlock()
+		v := &st.Shards[vi]
+		if v.Hi != victim.Hi || v.JobID != victim.JobID || v.Lo+v.Merged != cut {
+			return false
+		}
+		v.Hi = cut // the victim shard is now complete at its merge point
+		tail := append(stolen, st.Shards[vi+1:]...)
+		st.Shards = append(st.Shards[:vi+1], tail...)
+		st.Steals++
+		committed = true
+		if d.idx == vi && d.cancel != nil {
+			// Un-park the merge loop's drain of the superseded stream.
+			interrupt = d.cancel
+		}
+		return true // persist; the next persist (or recovery's rebase) repairs a missed write
+	})
 	if !committed {
 		cancelStolen()
 		return
 	}
 	c.metrics.shardSteals.Inc()
 	c.log.Info("straggler remainder stolen",
-		"job", j.id, "shard", vi, "worker", victim.Worker, "cut", cut, "hi", victim.Hi,
+		"job", j.ID, "shard", vi, "worker", victim.Worker, "cut", cut, "hi", victim.Hi,
 		"pieces", len(stolen), "dispatched", dispatched, "remainder", worst, "median", median)
 	if interrupt != nil {
 		interrupt()

@@ -13,6 +13,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/obs"
 	"repro/service"
+	"repro/service/client"
 	"repro/service/coord"
 	"repro/service/store"
 )
@@ -23,7 +24,7 @@ import (
 // just no more bytes), worker B is healthy. Both advertise one idle
 // device-worker, so a 30-device job at MinShard 5 plans exactly two
 // shards and the stalled shard can only finish via a steal.
-func stealFleet(t *testing.T) (proxyURL, workerB string, proxy *chaos.Proxy) {
+func stealFleet(t *testing.T) (proxyURL, workerA, workerB string, proxy *chaos.Proxy) {
 	t.Helper()
 	wA := newWorker(t, service.Config{Jobs: 2, Queue: 8, FleetWorkers: 1})
 	proxy, err := chaos.New(chaos.Config{Target: wA.URL, Seed: 1, StallAfterLines: 5})
@@ -33,7 +34,25 @@ func stealFleet(t *testing.T) (proxyURL, workerB string, proxy *chaos.Proxy) {
 	ps := httptest.NewServer(proxy)
 	t.Cleanup(ps.Close)
 	wB := newWorker(t, service.Config{Jobs: 2, Queue: 8, FleetWorkers: 1})
-	return ps.URL, wB.URL, proxy
+	return ps.URL, wA.URL, wB.URL, proxy
+}
+
+// hold parks a job on a worker's one device-worker, so the worker
+// reports no idle capacity — and is no steal target — until the
+// returned release cancels it.
+func hold(t *testing.T, url string) (release func()) {
+	t.Helper()
+	c := client.New(url, nil)
+	st, err := c.Submit(context.Background(), parkedRequest(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, c, st.ID, service.StateRunning)
+	return func() {
+		if _, err := c.Cancel(context.Background(), st.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func stealConfig(workers []string) coord.Config {
@@ -56,7 +75,15 @@ func stealConfig(workers []string) coord.Config {
 func TestCoordStealRescuesStalledStream(t *testing.T) {
 	req := service.JobRequest{Plan: testPlan(), Devices: 30, DRF: true, Seed: 11}
 	want := localLines(t, req)
-	proxyURL, workerB, proxy := stealFleet(t)
+	proxyURL, workerA, workerB, proxy := stealFleet(t)
+	// Both workers start with no idle capacity: planning falls back to
+	// the active worker count (two shards), the shard jobs run on the
+	// one-worker floor, and nothing can be stolen — nor stolen back
+	// onto A later — until B is released. B is released only once A's
+	// stream has stalled, so the steal always rescues the stall rather
+	// than racing it.
+	hold(t, workerA)
+	releaseB := hold(t, workerB)
 	cc, _, cts := newCoord(t, stealConfig([]string{proxyURL, workerB}))
 
 	st, err := cc.Submit(context.Background(), req)
@@ -66,6 +93,14 @@ func TestCoordStealRescuesStalledStream(t *testing.T) {
 	if len(st.Shards) != 2 {
 		t.Fatalf("planned %d shards, want 2", len(st.Shards))
 	}
+	deadline := time.Now().Add(15 * time.Second)
+	for proxy.Stalls() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("worker A's stream never stalled")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	releaseB()
 	compareLines(t, rawStream(t, cts, st.ID), want)
 	fin := waitState(t, cc, st.ID, service.StateDone)
 
@@ -103,7 +138,7 @@ func TestCoordStealRescuesStalledStream(t *testing.T) {
 func TestCoordStealCrashResumeRebasesExtendedTable(t *testing.T) {
 	req := service.JobRequest{Plan: testPlan(), Devices: 30, DRF: true, Seed: 11}
 	want := localLines(t, req)
-	proxyURL, workerB, _ := stealFleet(t)
+	proxyURL, _, workerB, _ := stealFleet(t)
 	workers := []string{proxyURL, workerB}
 	dir := t.TempDir()
 
@@ -183,6 +218,10 @@ func TestCoordStealCrashResumeRebasesExtendedTable(t *testing.T) {
 	}
 	cfg2 := stealConfig(workers)
 	cfg2.Store = st2
+	// The resumed merge must re-attach to the recorded table. With
+	// stealing still on, a slow run (race detector, one CPU) could
+	// re-split a straggling shard again and legitimately grow the table.
+	cfg2.StealThreshold = 0
 	cc, _, cts := newCoord(t, cfg2)
 	compareLines(t, rawStream(t, cts, sub.ID), want)
 	fin := waitState(t, cc, sub.ID, service.StateDone)

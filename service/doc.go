@@ -54,6 +54,12 @@
 // cancel_on_disconnect and went away — cancels it, and the engines
 // abort within one poll interval.
 //
+// The lifecycle itself — job table, backlog, scheduler workers,
+// manifests, recovery, followers, cancel, retention and close — is
+// the Kernel. The Manager adds only how a job runs and the
+// fleet-worker ledger; memtest-coord's coordinator runs on the same
+// Kernel with shard dispatch and an ordered merge instead.
+//
 // The typed Go client lives in repro/service/client; cmd/memtestd is
 // the server binary and examples/fleetclient a complete driver. See
 // docs/OPERATIONS.md for the operator-facing reference.

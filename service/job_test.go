@@ -43,14 +43,18 @@ func TestConfigDefaults(t *testing.T) {
 func TestWorkerLedger(t *testing.T) {
 	m := mustManager(t, Config{Jobs: 4, Queue: 8, FleetWorkers: 8})
 	defer m.Close()
-	big := &job{devices: 1 << 20}
+	big := &Job{Req: JobRequest{Devices: 1 << 20}}
+	claim := func(j *Job, queued int) int {
+		n, _ := m.claimWorkers(j, queued)
+		return n
+	}
 
 	// Idle manager: the whole pool goes to the first job.
-	if got := m.claimWorkers(big); got != 8 {
+	if got := claim(big, 0); got != 8 {
 		t.Fatalf("idle claim = %d, want 8", got)
 	}
 	// Pool drained: the floor grants one worker (bounded oversubscription).
-	if got := m.claimWorkers(big); got != 1 {
+	if got := claim(big, 0); got != 1 {
 		t.Fatalf("drained claim = %d, want the 1-worker floor", got)
 	}
 	m.releaseWorkers(1)
@@ -60,24 +64,18 @@ func TestWorkerLedger(t *testing.T) {
 	}
 
 	// Three jobs queued behind this one: fair split of 8 over 4.
-	m.mu.Lock()
-	m.backlog = []*job{big, big, big}
-	m.mu.Unlock()
-	if got := m.claimWorkers(big); got != 2 {
+	if got := claim(big, 3); got != 2 {
 		t.Fatalf("split claim = %d, want 2", got)
 	}
 	m.releaseWorkers(2)
-	m.mu.Lock()
-	m.backlog = nil
-	m.mu.Unlock()
 
 	// A small fleet never claims more workers than devices.
-	if got := m.claimWorkers(&job{devices: 3}); got != 3 {
+	if got := claim(&Job{Req: JobRequest{Devices: 3}}, 0); got != 3 {
 		t.Fatalf("device-capped claim = %d, want 3", got)
 	}
 	m.releaseWorkers(3)
 	// An explicit request caps the grant below the fair share.
-	if got := m.claimWorkers(&job{devices: 1 << 20, req: JobRequest{Workers: 2}}); got != 2 {
+	if got := claim(&Job{Req: JobRequest{Devices: 1 << 20, Workers: 2}}, 0); got != 2 {
 		t.Fatalf("requested-capped claim = %d, want 2", got)
 	}
 	m.releaseWorkers(2)

@@ -11,77 +11,42 @@ import (
 // cost, the zero-overhead-when-disabled invariant the obs package
 // pins.
 type metrics struct {
-	jobsSubmitted    *obs.Counter
-	jobsDone         *obs.Counter
-	jobsFailed       *obs.Counter
-	jobsCancelled    *obs.Counter
 	devicesDiagnosed *obs.Counter
 	devicesCompleted *obs.Counter
 	workerGrants     *obs.Counter
-	evictions        *obs.Counter
 	spoolAppends     *obs.Counter
 	spoolBytes       *obs.Counter
 	spoolFlushes     *obs.Counter
 	spoolReadErrors  *obs.Counter
-	jobDuration      *obs.Histogram
 }
 
 // newMetrics registers the Manager's event-driven instruments; reg may
 // be nil (disabled).
 func newMetrics(reg *obs.Registry) *metrics {
 	return &metrics{
-		jobsSubmitted:    reg.Counter("jobs_submitted_total", "Fleet jobs accepted by Submit."),
-		jobsDone:         reg.Counter("jobs_finished_total", "Jobs reaching a terminal state.", "state", "done"),
-		jobsFailed:       reg.Counter("jobs_finished_total", "Jobs reaching a terminal state.", "state", "failed"),
-		jobsCancelled:    reg.Counter("jobs_finished_total", "Jobs reaching a terminal state.", "state", "cancelled"),
 		devicesDiagnosed: reg.Counter("devices_diagnosed_total", "Devices diagnosed by fleet workers (compute time, ahead of ordered delivery)."),
 		devicesCompleted: reg.Counter("devices_completed_total", "Device results appended to job spools."),
 		workerGrants:     reg.Counter("fleet_worker_grants_total", "Fleet workers lent to starting jobs by the ledger, cumulative."),
-		evictions:        reg.Counter("retention_evictions_total", "Finished jobs evicted by the retention caps."),
 		spoolAppends:     reg.Counter("store_appends_total", "Result lines appended to the job store."),
 		spoolBytes:       reg.Counter("store_appended_bytes_total", "Result bytes appended to the job store, newline included."),
 		spoolFlushes:     reg.Counter("store_flushes_total", "Explicit spool flushes (result-boundary durability points)."),
 		spoolReadErrors:  reg.Counter("store_read_errors_total", "Spool reads that failed under a live follower."),
-		jobDuration:      reg.Histogram("job_duration_seconds", "Job wall time from start to terminal state.", obs.DurationBuckets),
 	}
 }
 
-// finished returns the jobs_finished_total series for a terminal
-// state.
-func (x *metrics) finished(state State) *obs.Counter {
-	switch state {
-	case StateDone:
-		return x.jobsDone
-	case StateCancelled:
-		return x.jobsCancelled
-	default:
-		return x.jobsFailed
-	}
-}
-
-// registerGauges wires the scrape-time views of manager state: queue
-// depth, jobs by state, the fleet-worker ledger, the rolling device
-// rate and the resume counters. Computed at scrape time, these cost
+// registerGauges wires the scrape-time views of manager state the
+// kernel does not already export: jobs by state, the fleet-worker
+// ledger, the rolling device rate and the resume re-run counter. Computed at scrape time, these cost
 // the hot path nothing.
 func (m *Manager) registerGauges(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	reg.GaugeFunc("jobs_queue_depth", "Jobs waiting in the bounded backlog.", func() float64 {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return float64(len(m.backlog))
-	})
-	reg.GaugeFunc("jobs_queue_capacity", "Configured backlog capacity.", func() float64 {
-		return float64(m.cfg.Queue)
-	})
 	for _, state := range []State{StateQueued, StateResuming, StateRunning, StateDone, StateFailed, StateCancelled} {
 		reg.GaugeFunc("jobs_state", "Retained jobs by lifecycle state.", func() float64 {
-			m.mu.Lock()
-			defer m.mu.Unlock()
 			n := 0
-			for _, j := range m.jobs {
-				if j.snapshot().State == state {
+			for _, st := range m.k.Jobs() {
+				if st.State == state {
 					n++
 				}
 			}
@@ -102,19 +67,6 @@ func (m *Manager) registerGauges(reg *obs.Registry) {
 		return float64(m.cfg.FleetWorkers - m.avail)
 	})
 	reg.GaugeFunc("devices_per_sec", "Rolling device diagnosis rate over the last few seconds.", m.meter.Rate)
-	reg.GaugeFunc("uptime_seconds", "Seconds since this process started.", func() float64 {
-		return m.now().Sub(m.started).Seconds()
-	})
-	reg.CounterFunc("jobs_recovered_total", "Jobs restored from the data directory at startup.", func() float64 {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return float64(m.jobsRecovered)
-	})
-	reg.CounterFunc("jobs_resumed_total", "Recovered jobs re-enqueued to resume a crash-interrupted run.", func() float64 {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return float64(m.jobsResumed)
-	})
 	reg.CounterFunc("resume_devices_rerun_total", "Devices re-run by crash resumes (the missing suffixes, summed).", func() float64 {
 		m.mu.Lock()
 		defer m.mu.Unlock()

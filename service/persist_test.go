@@ -57,7 +57,7 @@ func TestRestartRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, err := service.NewManager(service.Config{Jobs: 2, Queue: 8, Store: stA})
+	m1, err := service.NewManager(service.Config{Jobs: 2, Queue: 8, FleetWorkers: 1, Store: stA})
 	if err != nil {
 		t.Fatal(err)
 	}

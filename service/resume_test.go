@@ -180,7 +180,7 @@ func TestResumeTornTailOnDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, err := service.NewManager(service.Config{Jobs: 1, Queue: 4, Store: stA})
+	m1, err := service.NewManager(service.Config{Jobs: 1, Queue: 4, FleetWorkers: 1, Store: stA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,8 +318,17 @@ func TestResumeOfResume(t *testing.T) {
 	waitState(t, c1, st.ID, service.StateFailed)
 
 	// Generation 2 resumes from 2 and dies after 2 more (4 durable).
-	c2, fs2, _ := faultServer(t, inner, service.Config{Jobs: 1, Queue: 4})
+	// The crash is armed before the manager exists: recovery re-enqueues
+	// the job at once, so arming it afterwards would race the resume.
+	fs2 := faultstore.Wrap(inner)
 	fs2.CrashAfterAppends(2)
+	m2, err := service.NewManager(service.Config{Jobs: 1, Queue: 4, Store: fs2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(service.NewServer(m2))
+	t.Cleanup(func() { ts2.Close(); m2.Close() })
+	c2 := client.New(ts2.URL, ts2.Client())
 	failed := waitState(t, c2, st.ID, service.StateFailed)
 	if !failed.Resumed || failed.ResumedFrom != 2 {
 		t.Fatalf("generation-2 job = %+v, want a resume from 2 that crashed again", failed)
@@ -361,7 +370,7 @@ func TestRetentionNeverEvictsResuming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, err := service.NewManager(service.Config{Jobs: 2, Queue: 8, Store: stA})
+	m1, err := service.NewManager(service.Config{Jobs: 2, Queue: 8, FleetWorkers: 1, Store: stA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +483,7 @@ func TestReconnectRidesThroughServerRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, err := service.NewManager(service.Config{Jobs: 1, Queue: 4, Store: stA})
+	m1, err := service.NewManager(service.Config{Jobs: 1, Queue: 4, FleetWorkers: 1, Store: stA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -675,7 +684,7 @@ func TestSpoolIndexFaultDegradesToFailed(t *testing.T) {
 // the job with the distinct deadline error while the spooled prefix
 // stays streamable.
 func TestJobTimeout(t *testing.T) {
-	c, _, ts := newTestServer(t, service.Config{Jobs: 1, Queue: 4})
+	c, _, ts := newTestServer(t, service.Config{Jobs: 1, Queue: 4, FleetWorkers: 1})
 	e := newBlockEngine(t, "block-timeout")
 	ctx := context.Background()
 

@@ -216,6 +216,7 @@ func newBlockEngine(t *testing.T, name string) blockEngine {
 	if err := memtest.RegisterEngine(e); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { memtest.UnregisterEngine(name) })
 	return e
 }
 
@@ -350,7 +351,7 @@ func TestDeleteCancelsRunningJob(t *testing.T) {
 // TestDisconnectCancelsJob: a results reader that asked for
 // cancel_on_disconnect and goes away mid-stream cancels the job.
 func TestDisconnectCancelsJob(t *testing.T) {
-	c, _, _ := newTestServer(t, service.Config{Jobs: 1, Queue: 4})
+	c, _, _ := newTestServer(t, service.Config{Jobs: 1, Queue: 4, FleetWorkers: 1})
 	e := newBlockEngine(t, "block-disconnect")
 	st, err := c.Submit(context.Background(), service.JobRequest{Plan: testPlan(), Devices: 2, Scheme: e.name})
 	if err != nil {
