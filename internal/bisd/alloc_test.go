@@ -41,25 +41,50 @@ func TestProposedRunnerElementLoopAllocFree(t *testing.T) {
 
 // TestProposedRunnerReuseSkipsRefit: re-running the same geometry must
 // not rebuild the engine state (the fit fast path), and a geometry
-// change must.
+// change must — for the per-device and the bank runner alike.
 func TestProposedRunnerReuseSkipsRefit(t *testing.T) {
-	runner := NewProposedRunner()
-	mems := []*sram.Memory{sram.New(32, 8), sram.New(16, 4)}
-	if _, err := runner.Run(mems, march.MarchCW(8), ProposedOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	trig, comp := runner.trigger, runner.comp
-	if _, err := runner.Run(mems, march.MarchCW(8), ProposedOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if runner.trigger != trig || runner.comp != comp {
-		t.Fatal("same-geometry re-run rebuilt engine state")
-	}
-	if _, err := runner.Run([]*sram.Memory{sram.New(64, 8)}, march.MarchCW(8), ProposedOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if runner.trigger == trig {
-		t.Fatal("geometry change did not re-fit the runner")
+	runner, bank := NewProposedRunner(), NewBankRunner()
+	for _, tc := range []struct {
+		name string
+		s    *schedule
+		run  func(geoms []geometry) error
+	}{
+		{"per_device", &runner.schedule, func(geoms []geometry) error {
+			mems := make([]*sram.Memory, len(geoms))
+			for i, g := range geoms {
+				mems[i] = sram.New(g.n, g.c)
+			}
+			_, err := runner.Run(mems, march.MarchCW(8), ProposedOptions{})
+			return err
+		}},
+		{"bank", &bank.schedule, func(geoms []geometry) error {
+			banks := make([]*sram.MemoryBank, len(geoms))
+			for i, g := range geoms {
+				banks[i] = sram.NewMemoryBank(g.n, g.c)
+			}
+			_, err := bank.Run(banks, sram.BankLanes, march.MarchCW(8), ProposedOptions{})
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fleet := []geometry{{n: 32, c: 8}, {n: 16, c: 4}}
+			if err := tc.run(fleet); err != nil {
+				t.Fatal(err)
+			}
+			trig, comp := tc.s.trigger, tc.s.comp
+			if err := tc.run(fleet); err != nil {
+				t.Fatal(err)
+			}
+			if tc.s.trigger != trig || tc.s.comp != comp {
+				t.Fatal("same-geometry re-run rebuilt engine state")
+			}
+			if err := tc.run([]geometry{{n: 64, c: 8}}); err != nil {
+				t.Fatal(err)
+			}
+			if tc.s.trigger == trig {
+				t.Fatal("geometry change did not re-fit the runner")
+			}
+		})
 	}
 }
 

@@ -6,23 +6,22 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/march"
-	"repro/internal/serial"
 	"repro/internal/sram"
 )
 
 // BankRunner executes the proposed diagnosis scheme over a bit-sliced
 // fleet batch: up to sram.BankLanes same-plan devices, one per uint64
 // bit lane of a sram.MemoryBank per memory, advance through a single
-// March schedule pass together. The controller side (address trigger,
-// background generator, SPC delivery, cycle accounting) is scalar and
-// fault-independent, so it runs once per batch; only the banks' sparse
-// special cells carry per-lane fault semantics.
+// March schedule pass together. The shared controller (schedule) is
+// scalar and fault-independent, so it runs once per batch; only the
+// banks' sparse special cells carry per-lane fault semantics.
 //
 // The scheme's expected state is kept in two scalar shadows:
 //
 //   - written[i][addr] is the word every fault-free lane of memory i
 //     holds — the SPC delivered it to all lanes alike;
-//   - expected[i][addr] is the comparator's intent, DP[c_i-1:0].
+//   - the comparator array's expected word is the controller's intent,
+//     DP[c_i-1:0].
 //
 // Under MSB-first delivery the two coincide and a clean cell can never
 // miscompare, so a read only examines the row's special cells. Under
@@ -36,96 +35,23 @@ import (
 // differential suites). A BankRunner is not safe for concurrent use;
 // give each fleet worker its own.
 type BankRunner struct {
-	// Cached sizing; state below is rebuilt when it stops matching.
-	geoms []geometry
-	nMax  int
-	cMax  int
-	order serial.Order
-
-	trigger  *AddressTrigger
-	bgGen    *BackgroundGenerator
-	colls    []*collector // one per lane
-	spcs     []*serial.SPC
-	addrGens []*LocalAddressGenerator
-	written  [][]bitvec.Vector
-	expected [][]bitvec.Vector
-	// Per-memory word buffers, refreshed once per element (see
-	// ProposedRunner).
-	spcWord     []bitvec.Vector
-	spcWordInv  []bitvec.Vector
-	intended    []bitvec.Vector
-	intendedInv []bitvec.Vector
+	schedule
+	colls   []*collector // one per lane
+	written [][]bitvec.Vector
 	// Per-read special-cell scratch.
-	senseBits   []int32
-	senseVals   []uint64
-	geomScratch []geometry
+	senseBits []int32
+	senseVals []uint64
+}
+
+// banked is the BankRunner's datapath for one Run.
+type banked struct {
+	*BankRunner
+	banks    []*sram.MemoryBank
+	laneMask uint64 // the loaded lanes
 }
 
 // NewBankRunner returns an empty runner; the first Run sizes it.
 func NewBankRunner() *BankRunner { return &BankRunner{} }
-
-// fit (re)builds the geometry-dependent state unless the cached state
-// already matches the banks.
-func (r *BankRunner) fit(banks []*sram.MemoryBank, order serial.Order) {
-	r.geomScratch = r.geomScratch[:0]
-	nMax, cMax := 0, 0
-	for _, b := range banks {
-		r.geomScratch = append(r.geomScratch, geometry{n: b.N(), c: b.C()})
-		nMax = max(nMax, b.N())
-		cMax = max(cMax, b.C())
-	}
-	if r.bankMatches(r.geomScratch, order) {
-		for _, c := range r.colls {
-			c.reset(r.geoms)
-		}
-		for i := range banks {
-			for a := range r.written[i] {
-				r.written[i][a].Fill(false)
-				r.expected[i][a].Fill(false)
-			}
-			r.spcs[i].Reset()
-		}
-		return
-	}
-	r.geoms = append([]geometry(nil), r.geomScratch...)
-	r.nMax, r.cMax, r.order = nMax, cMax, order
-	r.trigger = NewAddressTrigger(nMax)
-	r.bgGen = NewBackgroundGenerator(cMax, order)
-	r.colls = make([]*collector, sram.BankLanes)
-	for l := range r.colls {
-		r.colls[l] = newCollector(r.geoms)
-	}
-	r.spcs = make([]*serial.SPC, len(banks))
-	r.addrGens = make([]*LocalAddressGenerator, len(banks))
-	r.written = make([][]bitvec.Vector, len(banks))
-	r.expected = make([][]bitvec.Vector, len(banks))
-	r.spcWord = make([]bitvec.Vector, len(banks))
-	r.spcWordInv = make([]bitvec.Vector, len(banks))
-	r.intended = make([]bitvec.Vector, len(banks))
-	r.intendedInv = make([]bitvec.Vector, len(banks))
-	for i, b := range banks {
-		r.spcs[i] = serial.NewSPC(b.C())
-		r.addrGens[i] = NewLocalAddressGenerator(b.N())
-		r.written[i] = bitvec.NewMatrix(b.C(), b.N())
-		r.expected[i] = bitvec.NewMatrix(b.C(), b.N())
-		r.spcWord[i] = bitvec.New(b.C())
-		r.spcWordInv[i] = bitvec.New(b.C())
-		r.intended[i] = bitvec.New(b.C())
-		r.intendedInv[i] = bitvec.New(b.C())
-	}
-}
-
-func (r *BankRunner) bankMatches(geoms []geometry, order serial.Order) bool {
-	if r.trigger == nil || r.order != order || len(r.geoms) != len(geoms) {
-		return false
-	}
-	for i, g := range geoms {
-		if r.geoms[i] != g {
-			return false
-		}
-	}
-	return true
-}
 
 // Run executes one banked batch: the devices loaded into bank lanes
 // [0, lanes) run the March schedule once, word-wide across lanes, and
@@ -141,172 +67,101 @@ func (r *BankRunner) Run(banks []*sram.MemoryBank, lanes int, test march.Test, o
 	if lanes < 1 || lanes > sram.BankLanes {
 		return nil, fmt.Errorf("bisd: bank lanes %d out of range [1, %d]", lanes, sram.BankLanes)
 	}
-	if err := test.Validate(); err != nil {
+	if fit(&r.schedule, banks, opt.DeliveryOrder) {
+		r.colls = make([]*collector, sram.BankLanes)
+		for l := range r.colls {
+			r.colls[l] = newCollector(r.geoms)
+		}
+		r.written = make([][]bitvec.Vector, len(banks))
+		for i, g := range r.geoms {
+			r.written[i] = bitvec.NewMatrix(g.c, g.n)
+		}
+	} else {
+		for _, c := range r.colls {
+			c.reset(r.geoms)
+		}
+		for _, mem := range r.written {
+			for _, w := range mem {
+				w.Fill(false)
+			}
+		}
+	}
+	opt.Trace = nil
+	cycles, retentionNs, err := run(&r.schedule, banked{r, banks, ^uint64(0) >> uint(64-lanes)}, test, opt)
+	if err != nil {
 		return nil, err
 	}
-	if opt.ClockNs == 0 {
-		opt.ClockNs = 10
-	}
-	cg := &ControlGenerator{NWRTMWired: !opt.DisableNWRTM}
-	if err := cg.Check(test); err != nil {
-		return nil, err
-	}
-
-	r.fit(banks, opt.DeliveryOrder)
-	trigger, bgGen := r.trigger, r.bgGen
-	spcs, addrGens := r.spcs, r.addrGens
-	spcWord, spcWordInv := r.spcWord, r.spcWordInv
-	intended, intendedInv := r.intended, r.intendedInv
-	cMax := r.cMax
-	laneMask := ^uint64(0) >> uint(64-lanes)
-
-	var cycles int64
-	var retentionNs float64
-	nBgs := bitvec.NumBackgrounds(cMax)
-	if test.BackgroundCount < nBgs {
-		nBgs = test.BackgroundCount
-	}
-
-	elemIdx := 0
-	runElement := func(e march.Element, bgIdx int) error {
-		if err := ctxErr(opt.Ctx); err != nil {
-			return err
-		}
-		if e.DelayMs > 0 {
-			for _, b := range banks {
-				b.Hold(e.DelayMs)
-			}
-			retentionNs += e.DelayMs * 1e6
-		}
-		pattern := bgGen.Pattern(bgIdx)
-		if e.Writes() > 0 {
-			cycles += int64(bgGen.Deliver(pattern, spcs))
-		}
-		for i := range banks {
-			spcs[i].WordInto(spcWord[i])
-			spcWordInv[i].InvertFrom(spcWord[i])
-			intended[i].CopyTruncated(pattern)
-			intendedInv[i].InvertFrom(intended[i])
-		}
-		for ai, logical := range trigger.Sequence(e.Order) {
-			if ai&(cancelPollInterval-1) == cancelPollInterval-1 {
-				if err := ctxErr(opt.Ctx); err != nil {
-					return err
-				}
-			}
-			for opIdx, op := range e.Ops {
-				switch op.Kind {
-				case march.WriteWeak:
-					// A weak write cannot change a fault-free memory, so
-					// both scalar shadows are untouched.
-					cycles++
-					for i, b := range banks {
-						word := spcWord[i]
-						if op.Inverted {
-							word = spcWordInv[i]
-						}
-						b.WriteWeak(addrGens[i].Map(logical), word)
-					}
-				case march.Write, march.WriteNWRC:
-					cycles++
-					for i, b := range banks {
-						phys := addrGens[i].Map(logical)
-						word, want := spcWord[i], intended[i]
-						if op.Inverted {
-							word, want = spcWordInv[i], intendedInv[i]
-						}
-						if op.Kind == march.WriteNWRC {
-							b.WriteNWRC(phys, word)
-						} else {
-							b.Write(phys, word)
-						}
-						r.written[i][phys].CopyFrom(word)
-						r.expected[i][phys].CopyFrom(want)
-					}
-				case march.Read:
-					cycles += 1 + int64(cMax)
-					for i, b := range banks {
-						phys := addrGens[i].Map(logical)
-						wrote, want := r.written[i][phys], r.expected[i][phys]
-						r.senseBits, r.senseVals = b.SenseRow(phys, r.senseBits[:0], r.senseVals[:0])
-						if wrote.Equal(want) {
-							// Clean cells sense exactly the expected bit,
-							// so only the row's special cells can
-							// miscompare (ascending, like ForEachDiff).
-							for si, bit := range r.senseBits {
-								mism := (r.senseVals[si] ^ bitvec.LaneMask(want.Get(int(bit)))) & laneMask
-								r.recordMismatch(mism, i, logical, phys, int(bit), elemIdx, bgIdx, opIdx)
-							}
-						} else {
-							// Delivery hazard (Fig. 4, LSB-first short
-							// word): clean cells hold the delivered word
-							// while the comparator expects the intended
-							// one, so every lane fails at the scalar diff
-							// bits. Merge special and clean bits in
-							// ascending order to keep records
-							// byte-identical.
-							si := 0
-							for bit := 0; bit < b.C(); bit++ {
-								var sensed uint64
-								if si < len(r.senseBits) && int(r.senseBits[si]) == bit {
-									sensed = r.senseVals[si]
-									si++
-								} else {
-									sensed = bitvec.LaneMask(wrote.Get(bit))
-								}
-								mism := (sensed ^ bitvec.LaneMask(want.Get(bit))) & laneMask
-								r.recordMismatch(mism, i, logical, phys, bit, elemIdx, bgIdx, opIdx)
-							}
-						}
-					}
-				}
-			}
-		}
-		elemIdx++
-		return nil
-	}
-
-	for i := 0; i < len(test.Elements); {
-		if !repeatedElement(test, i) {
-			if err := runElement(test.Elements[i], 0); err != nil {
-				return nil, err
-			}
-			i++
-			continue
-		}
-		j := i
-		for j < len(test.Elements) && repeatedElement(test, j) {
-			j++
-		}
-		for bg := 1; bg < nBgs; bg++ {
-			for k := i; k < j; k++ {
-				if err := runElement(test.Elements[k], bg); err != nil {
-					return nil, err
-				}
-			}
-		}
-		i = j
-	}
-
 	reports := make([]*Report, lanes)
 	for l := range reports {
-		reports[l] = &Report{
-			Scheme: "proposed (SPC/PSC)", ClockNs: opt.ClockNs,
-			Cycles: cycles, RetentionNs: retentionNs,
-			Memories: r.colls[l].finish(),
-		}
+		reports[l] = proposedReport(opt, cycles, retentionNs, r.colls[l].finish())
 	}
 	return reports, nil
 }
 
-// recordMismatch registers one failing bit for every lane set in mism.
-func (r *BankRunner) recordMismatch(mism uint64, mem, logical, phys, bit, elem, bg, op int) {
+func (d banked) hold(ms float64) {
+	for _, b := range d.banks {
+		b.Hold(ms)
+	}
+}
+
+func (d banked) write(kind march.OpKind, phys []int, words []bitvec.Vector) {
+	for i, b := range d.banks {
+		switch kind {
+		case march.WriteWeak:
+			// A weak write cannot change a fault-free cell, so the
+			// written shadow is untouched.
+			b.WriteWeak(phys[i], words[i])
+			continue
+		case march.WriteNWRC:
+			b.WriteNWRC(phys[i], words[i])
+		default:
+			b.Write(phys[i], words[i])
+		}
+		d.written[i][phys[i]].CopyFrom(words[i])
+	}
+}
+
+func (d banked) read(at FailureRecord, phys []int, _ int64) {
+	for i, b := range d.banks {
+		at.Memory, at.PhysicalAddr = i, phys[i]
+		wrote, want := d.written[i][phys[i]], d.comp.Expected(i, phys[i])
+		d.senseBits, d.senseVals = b.SenseRow(phys[i], d.senseBits[:0], d.senseVals[:0])
+		if wrote.Equal(want) {
+			// Clean cells sense exactly the expected bit, so only the
+			// row's special cells can miscompare (ascending, like
+			// ForEachDiff).
+			for si, bit := range d.senseBits {
+				d.recordMismatch(d.senseVals[si]^bitvec.LaneMask(want.Get(int(bit))), at, int(bit))
+			}
+			continue
+		}
+		// Delivery hazard (Fig. 4, LSB-first short word): clean cells
+		// hold the delivered word while the comparator expects the
+		// intended one, so every lane fails at the scalar diff bits.
+		// Merge special and clean bits in ascending order to keep
+		// records byte-identical.
+		si := 0
+		for bit := 0; bit < b.C(); bit++ {
+			var sensed uint64
+			if si < len(d.senseBits) && int(d.senseBits[si]) == bit {
+				sensed = d.senseVals[si]
+				si++
+			} else {
+				sensed = bitvec.LaneMask(wrote.Get(bit))
+			}
+			d.recordMismatch(sensed^bitvec.LaneMask(want.Get(bit)), at, bit)
+		}
+	}
+}
+
+// recordMismatch registers the failing bit for every loaded lane set
+// in mism.
+func (d banked) recordMismatch(mism uint64, at FailureRecord, bit int) {
+	mism &= d.laneMask
+	at.Bit = bit
 	for mism != 0 {
 		l := bits.TrailingZeros64(mism)
 		mism &= mism - 1
-		r.colls[l].record(FailureRecord{
-			Memory: mem, LogicalAddr: logical, PhysicalAddr: phys,
-			Bit: bit, Element: elem, Background: bg, Op: op,
-		})
+		d.colls[l].record(at)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/march"
 	"repro/internal/serial"
-	"repro/internal/sram"
 )
 
 // The shared BISD controller of Fig. 3, decomposed into the blocks the
@@ -111,14 +110,11 @@ type ComparatorArray struct {
 	diffBuf []int
 }
 
-// NewComparatorArray sizes the shadow state for the fleet.
-func NewComparatorArray(mems []*sram.Memory) *ComparatorArray {
-	ca := &ComparatorArray{expected: make([][]bitvec.Vector, len(mems))}
-	for i, m := range mems {
-		ca.expected[i] = make([]bitvec.Vector, m.N())
-		for a := range ca.expected[i] {
-			ca.expected[i][a] = bitvec.New(m.C())
-		}
+// newComparatorArray sizes the shadow state for the fleet.
+func newComparatorArray(geoms []geometry) *ComparatorArray {
+	ca := &ComparatorArray{expected: make([][]bitvec.Vector, len(geoms))}
+	for i, g := range geoms {
+		ca.expected[i] = bitvec.NewMatrix(g.c, g.n)
 	}
 	return ca
 }

@@ -78,8 +78,7 @@ func TestBackgroundGeneratorPanics(t *testing.T) {
 }
 
 func TestComparatorArrayShadowAndCompare(t *testing.T) {
-	mems := []*sram.Memory{sram.New(4, 4)}
-	ca := NewComparatorArray(mems)
+	ca := newComparatorArray([]geometry{{n: 4, c: 4}})
 	w := bitvec.MustParse("1010")
 	ca.NoteWrite(0, 2, w)
 	if !ca.Expected(0, 2).Equal(w) {

@@ -32,116 +32,35 @@ type ProposedOptions struct {
 	Ctx context.Context
 }
 
-// cancelPollInterval is the address-loop cancellation granularity:
-// within a March element the optional Ctx is polled every this many
-// addresses, so even a single very large memory aborts promptly
-// instead of finishing a multi-second element first. A power of two
-// keeps the poll check a mask test.
-const cancelPollInterval = 1 << 14
-
-// ProposedRunner is the reusable form of RunProposed: it owns the
-// controller blocks, the per-memory SPCs and every scratch buffer the
-// per-op loop needs, and re-fits them only when the fleet geometry (or
-// delivery order) changes. A fleet worker diagnosing thousands of
-// same-plan devices therefore allocates engine state once, not per
-// device — the proposed-path analogue of simulator.Runner. A Runner is
-// not safe for concurrent use; give each worker its own.
+// ProposedRunner is the reusable form of RunProposed: the shared
+// controller (schedule) plus a per-device datapath — the fleet's
+// sram.Memory instances, a read scratch word per memory and the
+// failure collector. It re-fits only when the fleet geometry (or
+// delivery order) changes, so a fleet worker diagnosing thousands of
+// same-plan devices allocates engine state once, not per device — the
+// proposed-path analogue of simulator.Runner. A Runner is not safe for
+// concurrent use; give each worker its own.
 type ProposedRunner struct {
-	// Cached sizing; state below is rebuilt when it stops matching.
-	geoms []geometry
-	nMax  int
-	cMax  int
-	order serial.Order
+	schedule
+	coll    *collector
+	readBuf []bitvec.Vector
+}
 
-	trigger  *AddressTrigger
-	bgGen    *BackgroundGenerator
-	comp     *ComparatorArray
-	coll     *collector
-	spcs     []*serial.SPC
-	addrGens []*LocalAddressGenerator
-	// Per-memory word buffers, refreshed once per element: the SPC
-	// output and the controller's intended delivery, each with its
-	// complement, plus a read scratch — the per-op loop below runs
-	// allocation-free on these.
-	spcWord     []bitvec.Vector
-	spcWordInv  []bitvec.Vector
-	intended    []bitvec.Vector
-	intendedInv []bitvec.Vector
-	readBuf     []bitvec.Vector
-	geomScratch []geometry
+// perDevice is the ProposedRunner's datapath for one Run.
+type perDevice struct {
+	*ProposedRunner
+	mems  []*sram.Memory
+	trace *trace.Recorder
 }
 
 // NewProposedRunner returns an empty runner; the first Run sizes it.
 func NewProposedRunner() *ProposedRunner { return &ProposedRunner{} }
 
-// fit (re)builds the geometry-dependent state unless the cached state
-// already matches the fleet.
-func (r *ProposedRunner) fit(mems []*sram.Memory, order serial.Order) {
-	r.geomScratch = r.geomScratch[:0]
-	nMax, cMax := 0, 0
-	for _, m := range mems {
-		r.geomScratch = append(r.geomScratch, geometry{n: m.N(), c: m.C()})
-		nMax = max(nMax, m.N())
-		cMax = max(cMax, m.C())
-	}
-	if r.matches(r.geomScratch, order) {
-		r.comp.Reset()
-		r.coll.reset(r.geoms)
-		for _, s := range r.spcs {
-			s.Reset()
-		}
-		return
-	}
-	r.geoms = append([]geometry(nil), r.geomScratch...)
-	r.nMax, r.cMax, r.order = nMax, cMax, order
-	r.trigger = NewAddressTrigger(nMax)
-	r.bgGen = NewBackgroundGenerator(cMax, order)
-	r.comp = NewComparatorArray(mems)
-	r.coll = newCollector(r.geoms)
-	r.spcs = make([]*serial.SPC, len(mems))
-	r.addrGens = make([]*LocalAddressGenerator, len(mems))
-	r.spcWord = make([]bitvec.Vector, len(mems))
-	r.spcWordInv = make([]bitvec.Vector, len(mems))
-	r.intended = make([]bitvec.Vector, len(mems))
-	r.intendedInv = make([]bitvec.Vector, len(mems))
-	r.readBuf = make([]bitvec.Vector, len(mems))
-	for i, m := range mems {
-		r.spcs[i] = serial.NewSPC(m.C())
-		r.addrGens[i] = NewLocalAddressGenerator(m.N())
-		r.spcWord[i] = bitvec.New(m.C())
-		r.spcWordInv[i] = bitvec.New(m.C())
-		r.intended[i] = bitvec.New(m.C())
-		r.intendedInv[i] = bitvec.New(m.C())
-		r.readBuf[i] = bitvec.New(m.C())
-	}
-}
-
-func (r *ProposedRunner) matches(geoms []geometry, order serial.Order) bool {
-	if r.trigger == nil || r.order != order || len(r.geoms) != len(geoms) {
-		return false
-	}
-	for i, g := range geoms {
-		if r.geoms[i] != g {
-			return false
-		}
-	}
-	return true
-}
-
 // Run executes the proposed diagnosis scheme (Fig. 3) over a fleet of
-// e-SRAMs in parallel, cycle-accurately:
-//
-//   - before each March element that writes, the background pattern is
-//     serially delivered to every SPC (cMax cycles, widest memory);
-//   - each write op applies the SPC word in parallel (1 cycle);
-//   - each read op captures into the PSC (1 cycle) and shifts the
-//     response back bit by bit while the memory idles (cMax cycles),
-//     where the comparator array checks it against the controller's
-//     wrap-tolerant expected state.
-//
-// The cycle accounting reproduces the paper's Eq. (2) exactly; the test
-// to run is a parameter so the same engine measures March C-, March CW
-// and their NWRTM merges.
+// e-SRAMs in parallel, cycle-accurately (see schedule.run). The cycle
+// accounting reproduces the paper's Eq. (2) exactly; the test to run
+// is a parameter so the same engine measures March C-, March CW and
+// their NWRTM merges.
 //
 // The PSC capture-and-drain round trip is simulated word-wise: a full
 // drain of a freshly captured word reassembles, bit for bit, the word
@@ -154,152 +73,55 @@ func (r *ProposedRunner) Run(mems []*sram.Memory, test march.Test, opt ProposedO
 	if len(mems) == 0 {
 		return nil, fmt.Errorf("bisd: empty fleet")
 	}
-	if err := test.Validate(); err != nil {
+	if fit(&r.schedule, mems, opt.DeliveryOrder) {
+		r.coll = newCollector(r.geoms)
+		r.readBuf = make([]bitvec.Vector, len(mems))
+		for i, g := range r.geoms {
+			r.readBuf[i] = bitvec.New(g.c)
+		}
+	} else {
+		r.coll.reset(r.geoms)
+	}
+	cycles, retentionNs, err := run(&r.schedule, perDevice{r, mems, opt.Trace}, test, opt)
+	if err != nil {
 		return nil, err
 	}
-	if opt.ClockNs == 0 {
-		opt.ClockNs = 10
-	}
-	cg := &ControlGenerator{NWRTMWired: !opt.DisableNWRTM}
-	if err := cg.Check(test); err != nil {
-		return nil, err
-	}
+	return proposedReport(opt, cycles, retentionNs, r.coll.finish()), nil
+}
 
-	r.fit(mems, opt.DeliveryOrder)
-	trigger, bgGen, comp, coll := r.trigger, r.bgGen, r.comp, r.coll
-	spcs, addrGens := r.spcs, r.addrGens
-	spcWord, spcWordInv := r.spcWord, r.spcWordInv
-	intended, intendedInv, readBuf := r.intended, r.intendedInv, r.readBuf
-	cMax := r.cMax
-
-	rep := &Report{Scheme: "proposed (SPC/PSC)", ClockNs: opt.ClockNs}
-	nBgs := bitvec.NumBackgrounds(cMax)
-	if test.BackgroundCount < nBgs {
-		nBgs = test.BackgroundCount
+func (d perDevice) hold(ms float64) {
+	for _, m := range d.mems {
+		m.Hold(ms)
 	}
+}
 
-	elemIdx := 0
-	runElement := func(e march.Element, bgIdx int) error {
-		if err := ctxErr(opt.Ctx); err != nil {
-			return err
+func (d perDevice) write(kind march.OpKind, phys []int, words []bitvec.Vector) {
+	for i, m := range d.mems {
+		switch kind {
+		case march.WriteWeak:
+			m.WriteWeak(phys[i], words[i])
+		case march.WriteNWRC:
+			m.WriteNWRC(phys[i], words[i])
+		default:
+			m.Write(phys[i], words[i])
 		}
-		if e.DelayMs > 0 {
-			for _, m := range mems {
-				m.Hold(e.DelayMs)
-			}
-			rep.RetentionNs += e.DelayMs * 1e6
-		}
-		// The Enabled guards keep the disabled-trace path free of the
-		// variadic boxing Emitf's arguments would otherwise allocate
-		// once per element.
-		if opt.Trace.Enabled() {
-			opt.Trace.Emitf(rep.Cycles, trace.ElementStart, "ctrl", "elem %d bg %d: %s", elemIdx, bgIdx, e)
-		}
-		pattern := bgGen.Pattern(bgIdx)
-		if e.Writes() > 0 {
-			if opt.Trace.Enabled() {
-				opt.Trace.Emitf(rep.Cycles, trace.Delivery, "bggen", "pattern %s", pattern)
-			}
-			rep.Cycles += int64(bgGen.Deliver(pattern, spcs))
-		}
-		// Refresh the per-memory word buffers: the SPC holds whatever
-		// was (last) delivered — the memory receives that — while the
-		// comparator expects what the controller *intended* to deliver,
-		// DP[c_i-1:0]. With MSB-first delivery the two coincide; with
-		// the hazardous LSB-first order of Fig. 4 they diverge and
-		// diagnosis breaks down.
-		for i := range mems {
-			spcs[i].WordInto(spcWord[i])
-			spcWordInv[i].InvertFrom(spcWord[i])
-			intended[i].CopyTruncated(pattern)
-			intendedInv[i].InvertFrom(intended[i])
-		}
-		for ai, logical := range trigger.Sequence(e.Order) {
-			if ai&(cancelPollInterval-1) == cancelPollInterval-1 {
-				if err := ctxErr(opt.Ctx); err != nil {
-					return err
-				}
-			}
-			for opIdx, op := range e.Ops {
-				switch op.Kind {
-				case march.WriteWeak:
-					// A weak write cannot change a fault-free memory,
-					// so the expected shadow is untouched.
-					rep.Cycles++
-					for i, m := range mems {
-						word := spcWord[i]
-						if op.Inverted {
-							word = spcWordInv[i]
-						}
-						m.WriteWeak(addrGens[i].Map(logical), word)
-					}
-				case march.Write, march.WriteNWRC:
-					rep.Cycles++
-					for i, m := range mems {
-						phys := addrGens[i].Map(logical)
-						word, want := spcWord[i], intended[i]
-						if op.Inverted {
-							word, want = spcWordInv[i], intendedInv[i]
-						}
-						if op.Kind == march.WriteNWRC {
-							m.WriteNWRC(phys, word)
-						} else {
-							m.Write(phys, word)
-						}
-						// A fault-free memory accepts either write kind,
-						// so the expected shadow updates identically.
-						comp.NoteWrite(i, phys, want)
-					}
-				case march.Read:
-					// 1 capture cycle + cMax shift-out cycles while the
-					// memory idles; the drained word is data-identical
-					// to the captured read word, so compare it directly.
-					rep.Cycles += 1 + int64(cMax)
-					for i, m := range mems {
-						phys := addrGens[i].Map(logical)
-						m.ReadInto(phys, readBuf[i])
-						for _, bit := range comp.Compare(i, phys, readBuf[i]) {
-							if opt.Trace.Enabled() {
-								opt.Trace.Emitf(rep.Cycles, trace.Miscompare,
-									fmt.Sprintf("mem%d", i), "addr %d bit %d", phys, bit)
-							}
-							coll.record(FailureRecord{
-								Memory: i, LogicalAddr: logical, PhysicalAddr: phys,
-								Bit: bit, Element: elemIdx, Background: bgIdx, Op: opIdx,
-							})
-						}
-					}
-				}
-			}
-		}
-		elemIdx++
-		return nil
 	}
+}
 
-	for i := 0; i < len(test.Elements); {
-		if !repeatedElement(test, i) {
-			if err := runElement(test.Elements[i], 0); err != nil {
-				return nil, err
+// read compares the drained word directly: it is data-identical to
+// the captured read word.
+func (d perDevice) read(at FailureRecord, phys []int, cycles int64) {
+	for i, m := range d.mems {
+		m.ReadInto(phys[i], d.readBuf[i])
+		for _, bit := range d.comp.Compare(i, phys[i], d.readBuf[i]) {
+			if d.trace.Enabled() {
+				d.trace.Emitf(cycles, trace.Miscompare,
+					fmt.Sprintf("mem%d", i), "addr %d bit %d", phys[i], bit)
 			}
-			i++
-			continue
+			at.Memory, at.PhysicalAddr, at.Bit = i, phys[i], bit
+			d.coll.record(at)
 		}
-		j := i
-		for j < len(test.Elements) && repeatedElement(test, j) {
-			j++
-		}
-		for bg := 1; bg < nBgs; bg++ {
-			for k := i; k < j; k++ {
-				if err := runElement(test.Elements[k], bg); err != nil {
-					return nil, err
-				}
-			}
-		}
-		i = j
 	}
-
-	rep.Memories = coll.finish()
-	return rep, nil
 }
 
 // RunProposed executes the proposed scheme once with fresh engine
@@ -307,37 +129,4 @@ func (r *ProposedRunner) Run(mems []*sram.Memory, test march.Test, opt ProposedO
 // fleets should hold a ProposedRunner instead.
 func RunProposed(mems []*sram.Memory, test march.Test, opt ProposedOptions) (*Report, error) {
 	return NewProposedRunner().Run(mems, test, opt)
-}
-
-// ctxErr is a non-blocking cancellation poll; a nil context never
-// cancels.
-func ctxErr(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Err()
-}
-
-// repeatedElement mirrors march.Test's per-background repetition flag.
-func repeatedElement(t march.Test, i int) bool {
-	if t.BackgroundCount <= 1 || t.PerBackground == nil {
-		return false
-	}
-	return t.PerBackground[i]
-}
-
-// fleetGeometry computes the controller sizing (largest and widest
-// memory, Sec. 3.1) and the per-memory geometries.
-func fleetGeometry(mems []*sram.Memory) (nMax, cMax int, geoms []geometry) {
-	geoms = make([]geometry, len(mems))
-	for i, m := range mems {
-		geoms[i] = geometry{n: m.N(), c: m.C()}
-		if m.N() > nMax {
-			nMax = m.N()
-		}
-		if m.C() > cMax {
-			cMax = m.C()
-		}
-	}
-	return nMax, cMax, geoms
 }

@@ -146,6 +146,24 @@ func (c *collector) reset(geoms []geometry) {
 
 type geometry struct{ n, c int }
 
+// sized is a memory as the controller sees it: sram.Memory or
+// sram.MemoryBank.
+type sized interface {
+	N() int
+	C() int
+}
+
+// fleetGeometry computes the controller sizing (largest and widest
+// memory, Sec. 3.1) and the per-memory geometries.
+func fleetGeometry[M sized](mems []M) (nMax, cMax int, geoms []geometry) {
+	geoms = make([]geometry, len(mems))
+	for i, m := range mems {
+		geoms[i] = geometry{n: m.N(), c: m.C()}
+		nMax, cMax = max(nMax, m.N()), max(cMax, m.C())
+	}
+	return nMax, cMax, geoms
+}
+
 func (c *collector) record(rec FailureRecord) {
 	c.recs[rec.Memory] = append(c.recs[rec.Memory], rec)
 	c.recordCell(rec.Memory, fault.Cell{Addr: rec.PhysicalAddr, Bit: rec.Bit})

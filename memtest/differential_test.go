@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+
+	"repro/internal/march"
 )
 
 // This file is the cross-path differential wall for the bit-sliced
@@ -112,6 +114,19 @@ func TestBankedFleetDifferential(t *testing.T) {
 		{"mostly_clean", cleanDiffPlan(), 65, []Option{WithSeed(11), WithWorkers(4)}},
 		{"unordered", diffPlan(), 65, []Option{WithSeed(12), WithDRF(), WithWorkers(4),
 			WithFleetDelivery(Unordered)}},
+		// Non-default March programs drive the bank through weak
+		// writes, retention holds and tests without per-background
+		// repetition.
+		{"wwtm", diffPlan(), 65, []Option{WithSeed(14), WithDRF(), WithWorkers(4),
+			WithMarchTest(march.WithWWTM(march.MarchCW(12)))}},
+		{"delay_retention", diffPlan(), 65, []Option{WithSeed(15), WithDRF(), WithWorkers(4),
+			WithMarchTest(march.DelayRetentionTest(100))}},
+		{"march_c_minus", diffPlan(), 65, []Option{WithSeed(16), WithWorkers(4),
+			WithMarchTest(march.MarchCMinus())}},
+		{"mats_plus", diffPlan(), 65, []Option{WithSeed(17), WithWorkers(4),
+			WithMarchTest(march.MATSPlus())}},
+		{"wwtm_lsb_hazard", diffPlan(), 65, []Option{WithSeed(18), WithDRF(), WithWorkers(4),
+			WithMarchTest(march.WithWWTM(march.MarchCW(12))), WithDeliveryOrder(LSBFirst)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -39,18 +39,39 @@ type proposedEngine struct{}
 func (proposedEngine) Name() string     { return "proposed" }
 func (proposedEngine) Describe() string { return "proposed" }
 
-func (proposedEngine) Run(ctx context.Context, f *Fleet, opt EngineOptions) (*Report, error) {
-	test := opt.Test
-	if test == nil {
-		t := DefaultTest(f.WidestWidth(), opt.IncludeDRF)
-		test = &t
+func (e proposedEngine) Run(ctx context.Context, f *Fleet, opt EngineOptions) (*Report, error) {
+	return e.NewRunner().Run(ctx, f, opt)
+}
+
+// defaultTest caches the DefaultTest instantiation a runner last used,
+// so same-plan devices and batches do not rebuild it.
+type defaultTest struct {
+	test  MarchTest
+	cMax  int
+	drf   bool
+	valid bool
+}
+
+// get returns opt.Test, or the default test for the widest width cMax.
+func (d *defaultTest) get(opt EngineOptions, cMax int) MarchTest {
+	if opt.Test != nil {
+		return *opt.Test
 	}
-	return bisd.RunProposed(f.mems, *test, bisd.ProposedOptions{
+	if !d.valid || d.cMax != cMax || d.drf != opt.IncludeDRF {
+		d.test = DefaultTest(cMax, opt.IncludeDRF)
+		d.cMax, d.drf, d.valid = cMax, opt.IncludeDRF, true
+	}
+	return d.test
+}
+
+// proposedOptions maps the engine options onto the bisd engine's.
+func proposedOptions(ctx context.Context, opt EngineOptions) bisd.ProposedOptions {
+	return bisd.ProposedOptions{
 		ClockNs:       opt.ClockNs,
 		DeliveryOrder: opt.DeliveryOrder,
 		Trace:         opt.Trace,
 		Ctx:           ctx,
-	})
+	}
 }
 
 // NewRunner implements ReusableEngine: the returned runner wraps a
@@ -61,31 +82,12 @@ func (proposedEngine) Run(ctx context.Context, f *Fleet, opt EngineOptions) (*Re
 func (proposedEngine) NewRunner() EngineRunner { return &proposedRunner{r: bisd.NewProposedRunner()} }
 
 type proposedRunner struct {
-	r *bisd.ProposedRunner
-
-	// Cached DefaultTest instantiation.
-	test      MarchTest
-	testCMax  int
-	testDRF   bool
-	testValid bool
+	r    *bisd.ProposedRunner
+	test defaultTest
 }
 
 func (pr *proposedRunner) Run(ctx context.Context, f *Fleet, opt EngineOptions) (*Report, error) {
-	test := opt.Test
-	if test == nil {
-		cMax := f.WidestWidth()
-		if !pr.testValid || pr.testCMax != cMax || pr.testDRF != opt.IncludeDRF {
-			pr.test = DefaultTest(cMax, opt.IncludeDRF)
-			pr.testCMax, pr.testDRF, pr.testValid = cMax, opt.IncludeDRF, true
-		}
-		test = &pr.test
-	}
-	return pr.r.Run(f.mems, *test, bisd.ProposedOptions{
-		ClockNs:       opt.ClockNs,
-		DeliveryOrder: opt.DeliveryOrder,
-		Trace:         opt.Trace,
-		Ctx:           ctx,
-	})
+	return pr.r.Run(f.mems, pr.test.get(opt, f.WidestWidth()), proposedOptions(ctx, opt))
 }
 
 // NewBatchRunner implements BatchEngine: the returned runner packs up
@@ -101,12 +103,7 @@ type proposedBatchRunner struct {
 	r     *bisd.BankRunner
 	banks []*sram.MemoryBank
 	cMax  int
-
-	// Cached DefaultTest instantiation, as in proposedRunner.
-	test      MarchTest
-	testCMax  int
-	testDRF   bool
-	testValid bool
+	test  defaultTest
 }
 
 func (pb *proposedBatchRunner) Lanes() int { return sram.BankLanes }
@@ -158,20 +155,9 @@ func (pb *proposedBatchRunner) fit(f *Fleet) {
 	pb.cMax = f.WidestWidth()
 }
 
+// RunBatch ignores opt.Trace, as bisd.BankRunner does.
 func (pb *proposedBatchRunner) RunBatch(ctx context.Context, lanes int, opt EngineOptions) ([]*Report, error) {
-	test := opt.Test
-	if test == nil {
-		if !pb.testValid || pb.testCMax != pb.cMax || pb.testDRF != opt.IncludeDRF {
-			pb.test = DefaultTest(pb.cMax, opt.IncludeDRF)
-			pb.testCMax, pb.testDRF, pb.testValid = pb.cMax, opt.IncludeDRF, true
-		}
-		test = &pb.test
-	}
-	return pb.r.Run(pb.banks, lanes, *test, bisd.ProposedOptions{
-		ClockNs:       opt.ClockNs,
-		DeliveryOrder: opt.DeliveryOrder,
-		Ctx:           ctx,
-	})
+	return pb.r.Run(pb.banks, lanes, pb.test.get(opt, pb.cMax), proposedOptions(ctx, opt))
 }
 
 // baselineEngine is the bi-directional serial scheme of [7,8] with its
