@@ -200,7 +200,7 @@ func run[D datapath](s *schedule, dp D, test march.Test, opt ProposedOptions) (c
 	}
 
 	for i := 0; i < len(test.Elements); {
-		if !repeatedElement(test, i) {
+		if !test.Repeated(i) {
 			if err := runElement(test.Elements[i], 0); err != nil {
 				return 0, 0, err
 			}
@@ -208,7 +208,7 @@ func run[D datapath](s *schedule, dp D, test march.Test, opt ProposedOptions) (c
 			continue
 		}
 		j := i
-		for j < len(test.Elements) && repeatedElement(test, j) {
+		for j < len(test.Elements) && test.Repeated(j) {
 			j++
 		}
 		for bg := 1; bg < nBgs; bg++ {
@@ -242,12 +242,4 @@ func ctxErr(ctx context.Context) error {
 		return nil
 	}
 	return ctx.Err()
-}
-
-// repeatedElement mirrors march.Test's per-background repetition flag.
-func repeatedElement(t march.Test, i int) bool {
-	if t.BackgroundCount <= 1 || t.PerBackground == nil {
-		return false
-	}
-	return t.PerBackground[i]
 }

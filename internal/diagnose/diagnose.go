@@ -132,13 +132,13 @@ func schedule(t march.Test) []readSite {
 		elemIdx++
 	}
 	for i := 0; i < len(t.Elements); {
-		if !repeated(t, i) {
+		if !t.Repeated(i) {
 			runElement(t.Elements[i], 0)
 			i++
 			continue
 		}
 		j := i
-		for j < len(t.Elements) && repeated(t, j) {
+		for j < len(t.Elements) && t.Repeated(j) {
 			j++
 		}
 		for bg := 1; bg < t.BackgroundCount; bg++ {
@@ -149,13 +149,6 @@ func schedule(t march.Test) []readSite {
 		i = j
 	}
 	return sites
-}
-
-func repeated(t march.Test, i int) bool {
-	if t.BackgroundCount <= 1 || t.PerBackground == nil {
-		return false
-	}
-	return t.PerBackground[i]
 }
 
 // Classify analyzes one memory's failure records against the test that

@@ -119,7 +119,7 @@ func WithNWRTM(t Test) Test {
 		per = append(per, false)
 	}
 	for i, e := range t.Elements {
-		if t.repeated(i) {
+		if t.Repeated(i) {
 			out.Elements = append(out.Elements, e)
 			per = append(per, true)
 		}

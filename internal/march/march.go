@@ -191,7 +191,7 @@ func (t Test) ComplexityFor(n int) Complexity {
 	var cx Complexity
 	for i, e := range t.Elements {
 		times := 1
-		if t.repeated(i) {
+		if t.Repeated(i) {
 			times = t.BackgroundCount - 1
 		}
 		cx.Reads += times * n * e.Reads()
@@ -201,8 +201,8 @@ func (t Test) ComplexityFor(n int) Complexity {
 	return cx
 }
 
-// repeated reports whether element i runs once per non-solid background.
-func (t Test) repeated(i int) bool {
+// Repeated reports whether element i runs once per non-solid background.
+func (t Test) Repeated(i int) bool {
 	if t.BackgroundCount <= 1 || t.PerBackground == nil {
 		return false
 	}

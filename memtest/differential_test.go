@@ -261,7 +261,7 @@ func TestBankedDivergenceReusesPooledBuilders(t *testing.T) {
 	// the pooled builder.
 	plan := diffPlan()
 	fresh := testing.AllocsPerRun(20, func() {
-		if _, err := plan.build(3, true); err != nil {
+		if _, err := plan.newFleetBuilder().build(3, true); err != nil {
 			t.Fatal(err)
 		}
 	})

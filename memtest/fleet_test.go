@@ -434,10 +434,7 @@ func TestFleetBuilderMatchesFreshBuilds(t *testing.T) {
 // fraction of what a fresh build does.
 func TestFleetBuilderRecyclesAllocations(t *testing.T) {
 	plan := smallPlan()
-	fb, err := plan.newFleetBuilder()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fb := plan.newFleetBuilder()
 	if _, err := fb.build(3, true); err != nil {
 		t.Fatal(err) // warm the recycled fault tables
 	}
@@ -447,7 +444,7 @@ func TestFleetBuilderRecyclesAllocations(t *testing.T) {
 		}
 	})
 	fresh := testing.AllocsPerRun(50, func() {
-		if _, err := plan.build(3, true); err != nil {
+		if _, err := plan.newFleetBuilder().build(3, true); err != nil {
 			t.Fatal(err)
 		}
 	})

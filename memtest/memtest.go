@@ -58,8 +58,9 @@ var (
 	ErrBadGeometry = errors.New("memtest: invalid memory geometry")
 	// ErrBadDefectRate reports a defect rate outside [0,1].
 	ErrBadDefectRate = errors.New("memtest: defect rate outside [0,1]")
-	// ErrBadDRFCount reports a negative data-retention-fault count.
-	ErrBadDRFCount = errors.New("memtest: negative DRF count")
+	// ErrBadDRFCount reports a data-retention-fault count that is
+	// negative or exceeds the memory's cell count.
+	ErrBadDRFCount = errors.New("memtest: DRF count outside [0, words*width]")
 	// ErrDuplicateMemoryName reports two memories sharing one name;
 	// results are keyed by name, so names must be unique.
 	ErrDuplicateMemoryName = errors.New("memtest: duplicate memory name")

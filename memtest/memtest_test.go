@@ -236,6 +236,8 @@ func TestPlanValidationSentinels(t *testing.T) {
 			Memories: []MemorySpec{{Name: "m", Words: 8, Width: 4, DefectRate: 1.5}}}, ErrBadDefectRate},
 		{"bad drf", Plan{Name: "x", ClockNs: 10,
 			Memories: []MemorySpec{{Name: "m", Words: 8, Width: 4, DRFCount: -1}}}, ErrBadDRFCount},
+		{"drf over cells", Plan{Name: "x", ClockNs: 10,
+			Memories: []MemorySpec{{Name: "m", Words: 8, Width: 4, DRFCount: 33}}}, ErrBadDRFCount},
 		{"duplicate name", Plan{Name: "x", ClockNs: 10,
 			Memories: []MemorySpec{{Name: "m", Words: 8, Width: 4}, {Name: "m", Words: 8, Width: 4}}},
 			ErrDuplicateMemoryName},

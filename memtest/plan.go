@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/config"
 	"repro/internal/fault"
 	"repro/internal/sram"
 )
@@ -36,8 +35,8 @@ func (m MemorySpec) Validate() error {
 	if m.DefectRate < 0 || m.DefectRate > 1 {
 		return fmt.Errorf("%w: memory %q rate %v", ErrBadDefectRate, m.Name, m.DefectRate)
 	}
-	if m.DRFCount < 0 {
-		return fmt.Errorf("%w: memory %q count %d", ErrBadDRFCount, m.Name, m.DRFCount)
+	if m.DRFCount < 0 || m.DRFCount > m.Words*m.Width {
+		return fmt.Errorf("%w: memory %q count %d for %d cells", ErrBadDRFCount, m.Name, m.DRFCount, m.Words*m.Width)
 	}
 	return nil
 }
@@ -101,8 +100,7 @@ func (p Plan) LargestWords() int {
 // Marshal renders the plan as indented JSON.
 func (p Plan) Marshal() ([]byte, error) { return json.MarshalIndent(p, "", "  ") }
 
-// ParsePlan reads a JSON plan (the same format internal/config always
-// used, so existing fleet files keep working) and validates it.
+// ParsePlan reads a JSON plan and validates it.
 func ParsePlan(data []byte) (Plan, error) {
 	var p Plan
 	if err := json.Unmarshal(data, &p); err != nil {
@@ -114,39 +112,38 @@ func ParsePlan(data []byte) (Plan, error) {
 	return p, nil
 }
 
-// soc converts the plan to the internal configuration type.
-func (p Plan) soc() config.SoC {
-	s := config.SoC{Name: p.Name, ClockNs: p.ClockNs, Memories: make([]config.Memory, len(p.Memories))}
-	for i, m := range p.Memories {
-		s.Memories[i] = config.Memory{
-			Name: m.Name, Words: m.Words, Width: m.Width,
-			DefectRate: m.DefectRate, DRFCount: m.DRFCount, Seed: m.Seed,
-		}
-	}
-	return s
-}
-
-// planFromSoC converts an internal configuration to a public Plan.
-func planFromSoC(s config.SoC) Plan {
-	p := Plan{Name: s.Name, ClockNs: s.ClockNs, Memories: make([]MemorySpec, len(s.Memories))}
-	for i, m := range s.Memories {
-		p.Memories[i] = MemorySpec{
-			Name: m.Name, Words: m.Words, Width: m.Width,
-			DefectRate: m.DefectRate, DRFCount: m.DRFCount, Seed: m.Seed,
-		}
-	}
-	return p
-}
-
 // Benchmark16 is the benchmark e-SRAM configuration of [16] used by the
-// paper's case study: n = 512 words, c = 100 bits, t = 10 ns, 256
-// observable faults.
-func Benchmark16() Plan { return planFromSoC(config.Benchmark16()) }
+// paper's case study: n = 512 words, c = 100 bits, t = 10 ns. The paper
+// assumes 1 % of cells defective and, following [8]'s defect-to-fault
+// mapping, a maximum of 256 observable faults per e-SRAM; the plan
+// draws those 256 faults directly (rate 0.005 of the 51,200 cells).
+func Benchmark16() Plan {
+	return Plan{
+		Name:    "benchmark-[16]",
+		ClockNs: 10,
+		Memories: []MemorySpec{
+			{Name: "esram0", Words: 512, Width: 100, DefectRate: 0.005, Seed: 16},
+		},
+	}
+}
 
 // HeterogeneousExample is a small distributed fleet in the spirit of
 // the paper's motivation: several buffers of different sizes and widths
-// between computational blocks.
-func HeterogeneousExample() Plan { return planFromSoC(config.HeterogeneousExample()) }
+// between computational blocks. The sizes are kept modest so the
+// bit-accurate serial baseline (O((n·c)²) per shift pass) runs in
+// seconds; paper-scale fleets use the analytic baseline mode.
+func HeterogeneousExample() Plan {
+	return Plan{
+		Name:    "heterogeneous-example",
+		ClockNs: 10,
+		Memories: []MemorySpec{
+			{Name: "pktbuf", Words: 64, Width: 16, DefectRate: 0.005, Seed: 1},
+			{Name: "hdrfifo", Words: 32, Width: 12, DefectRate: 0.01, Seed: 2},
+			{Name: "statsq", Words: 48, Width: 8, DefectRate: 0.008, DRFCount: 2, Seed: 3},
+			{Name: "dmadesc", Words: 16, Width: 10, DefectRate: 0, DRFCount: 1, Seed: 4},
+		},
+	}
+}
 
 // Fleet is a built plan: behavioural memories with their defect
 // populations injected, plus the ground truth those injections form.
@@ -156,24 +153,6 @@ type Fleet struct {
 	plan  Plan
 	mems  []*sram.Memory
 	truth [][]fault.Fault
-}
-
-// build instantiates the plan. When derive is true, each memory's seed
-// is replaced by a splitmix64 mix of base, the spec seed and the memory
-// index — the deterministic per-device seeding RunFleet and WithSeed
-// use; the same (base, plan) pair always builds the same fleet.
-func (p Plan) build(base int64, derive bool) (*Fleet, error) {
-	s := p.soc()
-	if derive {
-		for i := range s.Memories {
-			s.Memories[i].Seed = mixSeed(base, s.Memories[i].Seed, i)
-		}
-	}
-	mems, truth, err := s.Build()
-	if err != nil {
-		return nil, err
-	}
-	return &Fleet{plan: p, mems: mems, truth: truth}, nil
 }
 
 // Len returns the number of memories in the fleet.
@@ -192,44 +171,86 @@ func (f *Fleet) Geometry(i int) (words, width int) { return f.mems[i].N(), f.mem
 // shared controller is sized for.
 func (f *Fleet) WidestWidth() int { return f.plan.WidestWidth() }
 
-// fleetBuilder builds the plan's fleet repeatedly on recycled storage:
-// the behavioural memories and fault generators are allocated once and
-// every build resets, reseeds and re-injects them, so a fleet worker
-// diagnosing millions of devices stops paying ~an allocation per row
-// per device. Builds are identical to Plan.build with the same seeds
-// (pinned by differential fleet tests). Not safe for concurrent use;
-// each fleet worker owns one.
+// fleetBuilder is the one way a plan becomes a Fleet. It builds the
+// plan's fleet repeatedly on recycled storage: the behavioural memories
+// and fault generators are allocated once and every build resets,
+// reseeds and re-injects them, so a fleet worker diagnosing millions of
+// devices stops paying ~an allocation per row per device. Not safe for
+// concurrent use; each fleet worker owns one.
 type fleetBuilder struct {
-	plan  Plan
-	b     *config.Builder
-	seeds []int64 // per-memory derived-seed scratch, reused across builds
+	plan Plan
+	mems []*sram.Memory
+	gens []*fault.Generator
 }
 
-// newFleetBuilder allocates the plan's recyclable fleet storage.
-func (p Plan) newFleetBuilder() (*fleetBuilder, error) {
-	cb, err := config.NewBuilder(p.soc())
-	if err != nil {
-		return nil, err
+// newFleetBuilder allocates the plan's recyclable fleet storage. The
+// plan must already be valid (New validates it).
+func (p Plan) newFleetBuilder() *fleetBuilder {
+	fb := &fleetBuilder{
+		plan: p,
+		mems: make([]*sram.Memory, len(p.Memories)),
+		gens: make([]*fault.Generator, len(p.Memories)),
 	}
-	return &fleetBuilder{plan: p, b: cb, seeds: make([]int64, len(p.Memories))}, nil
+	for i, m := range p.Memories {
+		fb.mems[i] = sram.New(m.Words, m.Width)
+		fb.gens[i] = fault.NewGenerator(m.Words, m.Width, m.Seed)
+	}
+	return fb
 }
 
-// build mirrors Plan.build on the recycled storage. The returned
-// Fleet's memories are valid until the next build; its ground truth is
-// freshly allocated (evaluated results may retain it).
+// build injects a fresh defect draw into the recycled memories. When
+// derive is true, each memory's seed is replaced by a splitmix64 mix of
+// base, the spec seed and the memory index — the deterministic
+// per-device seeding RunFleet and WithSeed use; the same (base, plan)
+// pair always builds the same fleet. The returned Fleet's memories are
+// valid until the next build; its ground truth is freshly allocated
+// (evaluated results may retain it).
 func (fb *fleetBuilder) build(base int64, derive bool) (*Fleet, error) {
-	var seeds []int64
-	if derive {
-		for i, m := range fb.plan.Memories {
-			fb.seeds[i] = mixSeed(base, m.Seed, i)
+	truth := make([][]fault.Fault, len(fb.mems))
+	for i, m := range fb.plan.Memories {
+		seed := m.Seed
+		if derive {
+			seed = mixSeed(base, m.Seed, i)
 		}
-		seeds = fb.seeds
+		fb.mems[i].Reset()
+		fb.gens[i].Reseed(seed)
+		injected, err := injectDefects(fb.mems[i], fb.gens[i], m)
+		if err != nil {
+			return nil, err
+		}
+		truth[i] = injected
 	}
-	mems, truth, err := fb.b.Build(seeds)
-	if err != nil {
-		return nil, err
+	return &Fleet{plan: fb.plan, mems: fb.mems, truth: truth}, nil
+}
+
+// injectDefects draws m's defect population from gen (which must be
+// positioned at the start of its seeded stream) and injects it into mem
+// (which must be fault-free), returning the sorted ground truth.
+func injectDefects(mem *sram.Memory, gen *fault.Generator, m MemorySpec) ([]fault.Fault, error) {
+	var injected []fault.Fault
+	for _, f := range gen.FleetTyped(m.DefectRate, fault.PaperDefectTypes()) {
+		if err := mem.Inject(f); err != nil {
+			return nil, fmt.Errorf("memtest: memory %q: %v", m.Name, err)
+		}
+		injected = append(injected, f)
 	}
-	return &Fleet{plan: fb.plan, mems: mems, truth: truth}, nil
+	// DRFs are drawn until the requested count is placed; draws whose
+	// victim collides with an earlier fault are redrawn
+	// (deterministically, from the same seeded stream). Validate caps
+	// the count at the cell count, which bounds the retries.
+	for placed, attempts := 0, 0; placed < m.DRFCount; attempts++ {
+		if attempts > 100*m.DRFCount+100 {
+			return nil, fmt.Errorf("memtest: memory %q cannot place %d DRFs", m.Name, m.DRFCount)
+		}
+		f := gen.Random(fault.DRF)
+		if err := mem.Inject(f); err != nil {
+			continue
+		}
+		injected = append(injected, f)
+		placed++
+	}
+	fault.Sort(injected)
+	return injected, nil
 }
 
 // mixSeed derives a per-(base, seed, index) seed with a splitmix64-

@@ -33,10 +33,6 @@ type Session struct {
 	// RunFleet gives each worker's private Session copy its own (see
 	// ReusableEngine).
 	runner EngineRunner
-	// builder, when non-nil, builds each device's fleet on recycled
-	// memories instead of allocating fresh ones; RunFleetRange gives
-	// each worker's private Session copy its own.
-	builder *fleetBuilder
 	// observe, when non-nil, is called once per device as a fleet
 	// worker finishes diagnosing it (see WithDeviceObserver).
 	observe func(device int)
@@ -256,15 +252,9 @@ func (s *Session) Engine() Engine { return s.engine }
 // Trace returns the events recorded by the WithTrace recorder, if any.
 func (s *Session) Trace() []TraceEvent { return s.eopt.Trace.Events() }
 
-// runOnce builds one device's fleet and runs the engine on it.
-func (s *Session) runOnce(ctx context.Context, base int64, derive bool) (*Fleet, *Report, error) {
-	var f *Fleet
-	var err error
-	if s.builder != nil {
-		f, err = s.builder.build(base, derive)
-	} else {
-		f, err = s.plan.build(base, derive)
-	}
+// runOnce builds one device's fleet on fb and runs the engine on it.
+func (s *Session) runOnce(ctx context.Context, fb *fleetBuilder, base int64, derive bool) (*Fleet, *Report, error) {
+	f, err := fb.build(base, derive)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -287,7 +277,7 @@ func (s *Session) runOnce(ctx context.Context, base int64, derive bool) (*Fleet,
 // diagnosis.
 func (s *Session) Run(ctx context.Context) iter.Seq2[Diagnosis, error] {
 	return func(yield func(Diagnosis, error) bool) {
-		f, rep, err := s.runOnce(ctx, s.seed, s.seedSet)
+		f, rep, err := s.runOnce(ctx, s.plan.newFleetBuilder(), s.seed, s.seedSet)
 		if err != nil {
 			yield(Diagnosis{}, err)
 			return
@@ -308,7 +298,7 @@ func (s *Session) Run(ctx context.Context) iter.Seq2[Diagnosis, error] {
 // RunAll executes the session and materializes the full Result,
 // including fleet yield statistics when a repair budget is set.
 func (s *Session) RunAll(ctx context.Context) (*Result, error) {
-	f, rep, err := s.runOnce(ctx, s.seed, s.seedSet)
+	f, rep, err := s.runOnce(ctx, s.plan.newFleetBuilder(), s.seed, s.seedSet)
 	if err != nil {
 		return nil, err
 	}
@@ -437,10 +427,7 @@ func (s *Session) RunFleetRange(ctx context.Context, lo, hi int) iter.Seq2[Devic
 				if reusable != nil {
 					local.runner = reusable.NewRunner()
 				}
-				// The plan was validated at New, so builder creation
-				// cannot realistically fail; a nil builder just falls
-				// back to per-device fresh builds.
-				local.builder, _ = s.plan.newFleetBuilder()
+				fb := s.plan.newFleetBuilder()
 				send := func(device int, res *Result, err error) bool {
 					select {
 					case results <- fleetMsg{device, res, err}:
@@ -461,7 +448,7 @@ func (s *Session) RunFleetRange(ctx context.Context, lo, hi int) iter.Seq2[Devic
 						if hi-d0 < size {
 							size = hi - d0
 						}
-						if !local.runBatch(ctx, br, d0, size, send) {
+						if !local.runBatch(ctx, br, fb, d0, size, send) {
 							return
 						}
 					}
@@ -471,7 +458,7 @@ func (s *Session) RunFleetRange(ctx context.Context, lo, hi int) iter.Seq2[Devic
 					if d >= hi || ctx.Err() != nil {
 						return
 					}
-					f, rep, err := local.runOnce(ctx, deviceSeed(s.seed, d), true)
+					f, rep, err := local.runOnce(ctx, fb, deviceSeed(s.seed, d), true)
 					var res *Result
 					if err == nil {
 						res = local.resultFrom(f, rep)
@@ -548,17 +535,8 @@ type fleetMsg struct {
 	err    error
 }
 
-// buildDevice builds one device's fleet on the worker's recycled
-// builder (falling back to a fresh build if none was created).
-func (s *Session) buildDevice(base int64) (*Fleet, error) {
-	if s.builder != nil {
-		return s.builder.build(base, true)
-	}
-	return s.plan.build(base, true)
-}
-
 // runBatch diagnoses devices [d0, d0+size) as one bit-sliced batch:
-// each device is built on the worker's pooled builder (the same build,
+// each device is built on the worker's pooled builder fb (the same build,
 // seeds and defect draw as the per-device path) and its fault list is
 // staged into lane d-d0; one RunBatch pass then produces every lane's
 // report. Lanes the batch cannot model — unbankable fault classes, or
@@ -568,14 +546,14 @@ func (s *Session) buildDevice(base int64) (*Fleet, error) {
 // staged lanes still run and deliver (ordered delivery would otherwise
 // deadlock waiting on them) before the failing device's error is sent.
 // It reports whether the worker should keep claiming batches.
-func (s *Session) runBatch(ctx context.Context, br BatchRunner, d0, size int, send func(int, *Result, error) bool) bool {
+func (s *Session) runBatch(ctx context.Context, br BatchRunner, fb *fleetBuilder, d0, size int, send func(int, *Result, error) bool) bool {
 	truths := s.truthBuf[:0]
 	var divergent uint64
 	loadErr := error(nil)
 	errDev := -1
 	for l := 0; l < size; l++ {
 		d := d0 + l
-		f, err := s.buildDevice(deviceSeed(s.seed, d))
+		f, err := fb.build(deviceSeed(s.seed, d), true)
 		if err == nil {
 			var bankable bool
 			bankable, err = br.Load(l, f)
@@ -604,7 +582,7 @@ func (s *Session) runBatch(ctx context.Context, br BatchRunner, d0, size int, se
 			d := d0 + l
 			var res *Result
 			if divergent>>uint(l)&1 != 0 {
-				f, rep, err := s.runOnce(ctx, deviceSeed(s.seed, d), true)
+				f, rep, err := s.runOnce(ctx, fb, deviceSeed(s.seed, d), true)
 				if err != nil {
 					send(d, nil, err)
 					return false

@@ -491,6 +491,9 @@ func TestBadRequests(t *testing.T) {
 	check(err, http.StatusBadRequest, "device count")
 	_, err = c.Submit(ctx, service.JobRequest{Plan: memtest.Plan{Name: "empty", ClockNs: 10}, Devices: 1})
 	check(err, http.StatusBadRequest, "no memories")
+	_, err = c.Submit(ctx, service.JobRequest{Plan: memtest.Plan{Name: "drf", ClockNs: 10,
+		Memories: []memtest.MemorySpec{{Name: "m", Words: 4, Width: 4, DRFCount: 100000}}}, Devices: 1})
+	check(err, http.StatusBadRequest, "DRF")
 	_, err = c.Submit(ctx, service.JobRequest{Plan: testPlan(), Devices: 1, Delivery: "sideways"})
 	check(err, http.StatusBadRequest, "delivery")
 	_, err = c.Job(ctx, "job-999999")
