@@ -53,7 +53,6 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -61,6 +60,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/debugsrv"
 	"repro/service"
 	"repro/service/client"
 	"repro/service/coord"
@@ -167,14 +167,8 @@ func main() {
 		IdleTimeout:       2 * time.Minute,
 	}
 	if *debugAddr != "" {
-		dbg := debugServer(*debugAddr, reg)
-		go func() {
-			if err := dbg.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				log.Error("debug listener failed", "error", err)
-			}
-		}()
+		dbg := debugsrv.Serve(*debugAddr, reg, log)
 		defer dbg.Close()
-		log.Info("debug listener on", "addr", *debugAddr)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -200,19 +194,4 @@ func main() {
 		log.Warn("drain incomplete", "error", err)
 	}
 	log.Info("stopped")
-}
-
-// debugServer builds the opt-in debug listener: net/http/pprof (which
-// only registers on http.DefaultServeMux) mounted explicitly on a
-// private mux, plus a /metrics mirror so one loopback port carries
-// both.
-func debugServer(addr string, reg *obs.Registry) *http.Server {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/metrics", reg.Handler())
-	return &http.Server{Addr: addr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 }

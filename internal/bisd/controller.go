@@ -27,12 +27,7 @@ func NewAddressTrigger(nMax int) *AddressTrigger {
 	if nMax <= 0 {
 		panic(fmt.Sprintf("bisd: invalid trigger size %d", nMax))
 	}
-	a := &AddressTrigger{nMax: nMax, up: make([]int, nMax), down: make([]int, nMax)}
-	for i := 0; i < nMax; i++ {
-		a.up[i] = i
-		a.down[i] = nMax - 1 - i
-	}
-	return a
+	return &AddressTrigger{nMax: nMax, up: march.Up.Addresses(nMax), down: march.Down.Addresses(nMax)}
 }
 
 // Sequence returns the logical address visit order for an element. The

@@ -98,7 +98,8 @@ func fit[M sized](s *schedule, mems []M, order serial.Order) (rebuilt bool) {
 	return true
 }
 
-// run walks test through the fitted fleet, cycle-accurately:
+// run walks test through the fitted fleet in the order
+// march.Test.Steps expands it at the widest width, cycle-accurately:
 //
 //   - before each March element that writes, the background pattern is
 //     serially delivered to every SPC (cMax cycles, widest memory);
@@ -124,12 +125,10 @@ func run[D datapath](s *schedule, dp D, test march.Test, opt ProposedOptions) (c
 	if err := cg.Check(test); err != nil {
 		return 0, 0, err
 	}
-	nBgs := min(test.BackgroundCount, bitvec.NumBackgrounds(s.cMax))
-
-	elemIdx := 0
-	runElement := func(e march.Element, bgIdx int) error {
+	for st := range test.Steps(s.cMax) {
+		e := st.Element
 		if err := ctxErr(opt.Ctx); err != nil {
-			return err
+			return 0, 0, err
 		}
 		if e.DelayMs > 0 {
 			dp.hold(e.DelayMs)
@@ -139,9 +138,9 @@ func run[D datapath](s *schedule, dp D, test march.Test, opt ProposedOptions) (c
 		// variadic boxing Emitf's arguments would otherwise allocate
 		// once per element.
 		if opt.Trace.Enabled() {
-			opt.Trace.Emitf(cycles, trace.ElementStart, "ctrl", "elem %d bg %d: %s", elemIdx, bgIdx, e)
+			opt.Trace.Emitf(cycles, trace.ElementStart, "ctrl", "elem %d bg %d: %s", st.Exec, st.Background, e)
 		}
-		pattern := s.bgGen.Pattern(bgIdx)
+		pattern := s.bgGen.Pattern(st.Background)
 		if e.Writes() > 0 {
 			if opt.Trace.Enabled() {
 				opt.Trace.Emitf(cycles, trace.Delivery, "bggen", "pattern %s", pattern)
@@ -159,11 +158,11 @@ func run[D datapath](s *schedule, dp D, test march.Test, opt ProposedOptions) (c
 			s.intended[i].CopyTruncated(pattern)
 			s.intendedInv[i].InvertFrom(s.intended[i])
 		}
-		at := FailureRecord{Element: elemIdx, Background: bgIdx}
+		at := FailureRecord{Element: st.Exec, Background: st.Background}
 		for ai, logical := range s.trigger.Sequence(e.Order) {
 			if ai&(cancelPollInterval-1) == cancelPollInterval-1 {
 				if err := ctxErr(opt.Ctx); err != nil {
-					return err
+					return 0, 0, err
 				}
 			}
 			for i, g := range s.addrGens {
@@ -195,30 +194,6 @@ func run[D datapath](s *schedule, dp D, test march.Test, opt ProposedOptions) (c
 				}
 			}
 		}
-		elemIdx++
-		return nil
-	}
-
-	for i := 0; i < len(test.Elements); {
-		if !test.Repeated(i) {
-			if err := runElement(test.Elements[i], 0); err != nil {
-				return 0, 0, err
-			}
-			i++
-			continue
-		}
-		j := i
-		for j < len(test.Elements) && test.Repeated(j) {
-			j++
-		}
-		for bg := 1; bg < nBgs; bg++ {
-			for k := i; k < j; k++ {
-				if err := runElement(test.Elements[k], bg); err != nil {
-					return 0, 0, err
-				}
-			}
-		}
-		i = j
 	}
 	return cycles, retentionNs, nil
 }

@@ -105,18 +105,14 @@ type readSite struct {
 	setupNWRC bool
 }
 
-// schedule expands a test exactly like the proposed engine does and
-// returns every read site. Width is the controller (widest) width used
-// for backgrounds.
-func schedule(t march.Test) []readSite {
+// schedule expands a test at the controller (widest) width, in the
+// march.Test.Steps order the engines run, and returns every read site.
+func schedule(t march.Test, width int) []readSite {
 	var sites []readSite
-	elemIdx := 0
-	// lastWrite tracks the most recent write's kind per data sense; a
-	// read's setup is the last write before it in program order.
+	// A read's setup is the last write before it in program order.
 	lastNWRC := false
-
-	runElement := func(e march.Element, bg int) {
-		for opIdx, op := range e.Ops {
+	for st := range t.Steps(width) {
+		for opIdx, op := range st.Element.Ops {
 			switch op.Kind {
 			case march.Write, march.WriteWeak:
 				lastNWRC = false
@@ -124,42 +120,25 @@ func schedule(t march.Test) []readSite {
 				lastNWRC = true
 			case march.Read:
 				sites = append(sites, readSite{
-					elem: elemIdx, op: opIdx, bg: bg,
+					elem: st.Exec, op: opIdx, bg: st.Background,
 					inverted: op.Inverted, setupNWRC: lastNWRC,
 				})
 			}
 		}
-		elemIdx++
-	}
-	for i := 0; i < len(t.Elements); {
-		if !t.Repeated(i) {
-			runElement(t.Elements[i], 0)
-			i++
-			continue
-		}
-		j := i
-		for j < len(t.Elements) && t.Repeated(j) {
-			j++
-		}
-		for bg := 1; bg < t.BackgroundCount; bg++ {
-			for k := i; k < j; k++ {
-				runElement(t.Elements[k], bg)
-			}
-		}
-		i = j
 	}
 	return sites
 }
 
 // Classify analyzes one memory's failure records against the test that
-// produced them. Width is the controller's widest IO width (background
-// basis). Classification assumes the memory did not wrap (it is the
-// largest of its fleet, or was diagnosed alone); wrapped memories'
-// late-pass expectations depend on wrap history and are reported as
-// Intermittent when they confuse the counts — a documented limitation
-// of logical-signature analysis.
+// produced them. Width is the controller's widest IO width: the basis
+// of the backgrounds and, as in the engines, the cap on how many of the
+// test's backgrounds ran. Classification assumes the memory did not
+// wrap (it is the largest of its fleet, or was diagnosed alone);
+// wrapped memories' late-pass expectations depend on wrap history and
+// are reported as Intermittent when they confuse the counts — a
+// documented limitation of logical-signature analysis.
 func Classify(t march.Test, width int, mr bisd.MemoryResult) []CellDiagnosis {
-	sites := schedule(t)
+	sites := schedule(t, width)
 	type key struct{ elem, op int }
 	siteBy := make(map[key]readSite, len(sites))
 	for _, s := range sites {

@@ -151,7 +151,7 @@ func TestScheduleMatchesEngineIndices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sites := schedule(test)
+	sites := schedule(test, 4)
 	byKey := map[[2]int]bool{}
 	for _, s := range sites {
 		byKey[[2]int{s.elem, s.op}] = true
@@ -160,5 +160,18 @@ func TestScheduleMatchesEngineIndices(t *testing.T) {
 		if !byKey[[2]int{rec.Element, rec.Op}] {
 			t.Fatalf("record %+v has no schedule site", rec)
 		}
+	}
+}
+
+// TestClassifyClampsBackgroundsToWidth: a test carrying more backgrounds
+// than the width provides (March CW sized for 128 bits on a 16-bit
+// memory) runs only the width's backgrounds, and classification must
+// expand it the same way instead of asking for a background the width
+// does not have.
+func TestClassifyClampsBackgroundsToWidth(t *testing.T) {
+	test := march.MarchCW(128)
+	got := runOne(t, fault.Fault{Class: fault.SA0, Victim: fault.Cell{Addr: 9, Bit: 5}}, test, 16, 16)
+	if len(got) != 1 || got[0].Cell != (fault.Cell{Addr: 9, Bit: 5}) || got[0].Verdict != AlwaysZero {
+		t.Fatalf("SA0 under %s on 16 bits classified as %v", test.Name, got)
 	}
 }

@@ -13,7 +13,10 @@ package march
 
 import (
 	"fmt"
+	"iter"
 	"strings"
+
+	"repro/internal/bitvec"
 )
 
 // Order is the address order of a March element.
@@ -39,6 +42,19 @@ func (o Order) String() string {
 	default:
 		return "⇕"
 	}
+}
+
+// Addresses expands the order into the visit sequence of an n-word
+// address space: descending for Down, ascending otherwise.
+func (o Order) Addresses(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+		if o == Down {
+			out[i] = n - 1 - i
+		}
+	}
+	return out
 }
 
 // OpKind is the kind of a March operation.
@@ -207,6 +223,57 @@ func (t Test) Repeated(i int) bool {
 		return false
 	}
 	return t.PerBackground[i]
+}
+
+// Step is one element execution of a test's expanded schedule.
+type Step struct {
+	// Exec is the execution index, counting from 0 in run order; the
+	// engines' failure records carry it as their element index.
+	Exec int
+	// Index is the element's position in Test.Elements.
+	Index int
+	// Element is Test.Elements[Index].
+	Element Element
+	// Background is the data background the element runs with, an
+	// index into bitvec.Backgrounds.
+	Background int
+}
+
+// Steps yields the element executions of the test, in run order, on a
+// controller of IO width width. Elements that are not Repeated run once
+// on the solid background 0. Each maximal run of consecutive Repeated
+// elements runs as a group on every background 1..n-1, where
+// n = min(BackgroundCount, bitvec.NumBackgrounds(width)): the Data
+// Background Generator has no pattern past the widest memory's last.
+// Uncapped, the step count is ComplexityFor(1).Elements.
+//
+// Steps itself only returns the closure, so it inlines and a range over
+// it allocates nothing on the engines' per-run path.
+func (t Test) Steps(width int) iter.Seq[Step] {
+	return func(yield func(Step) bool) {
+		nBgs, exec := min(t.BackgroundCount, bitvec.NumBackgrounds(width)), 0
+		for i := 0; i < len(t.Elements); {
+			// Elements i..j-1 run as a group on backgrounds first..last-1:
+			// a lone element on the solid background, or a maximal run
+			// of Repeated elements on every non-solid one.
+			j, first, last := i+1, 0, 1
+			if t.Repeated(i) {
+				for j < len(t.Elements) && t.Repeated(j) {
+					j++
+				}
+				first, last = 1, nBgs
+			}
+			for bg := first; bg < last; bg++ {
+				for k := i; k < j; k++ {
+					if !yield(Step{Exec: exec, Index: k, Element: t.Elements[k], Background: bg}) {
+						return
+					}
+					exec++
+				}
+			}
+			i = j
+		}
+	}
 }
 
 // HasNWRC reports whether the test contains any NWRC write, i.e.

@@ -276,18 +276,18 @@ func TestDownOrderActuallyDescends(t *testing.T) {
 	// sensitized differently by up and down passes; March C- needs
 	// both. Verify the down elements run descending by checking a
 	// fault only a descending pass with specific data detects.
-	seq := addressSequence(march.Down, 4)
+	seq := march.Down.Addresses(4)
 	want := []int{3, 2, 1, 0}
 	for i := range want {
 		if seq[i] != want[i] {
 			t.Fatalf("down sequence = %v", seq)
 		}
 	}
-	seq = addressSequence(march.Up, 3)
+	seq = march.Up.Addresses(3)
 	if seq[0] != 0 || seq[2] != 2 {
 		t.Fatalf("up sequence = %v", seq)
 	}
-	seq = addressSequence(march.Any, 2)
+	seq = march.Any.Addresses(2)
 	if seq[0] != 0 {
 		t.Fatalf("any sequence = %v", seq)
 	}

@@ -202,7 +202,8 @@ func (singleDirEngine) Run(ctx context.Context, f *Fleet, opt EngineOptions) (*R
 // modeling — the ideal-coverage reference the proposed scheme is
 // equivalent to (its SPC/PSC plumbing is transparent). Each memory runs
 // its own un-wrapped address space; cycle accounting charges one cycle
-// per operation on the largest memory, as a lower bound.
+// per operation on the largest memory, over the element executions a
+// controller of the widest width runs, as a lower bound.
 type rawSimEngine struct{}
 
 func (rawSimEngine) Name() string     { return "rawsim" }
@@ -243,12 +244,17 @@ func (rawSimEngine) Run(ctx context.Context, f *Fleet, opt EngineOptions) (*Repo
 		}
 	}
 	if len(f.mems) > 0 {
+		cMax := f.WidestWidth()
 		test := opt.Test
 		if test == nil {
-			t := DefaultTest(f.WidestWidth(), opt.IncludeDRF)
+			t := DefaultTest(cMax, opt.IncludeDRF)
 			test = &t
 		}
-		rep.Cycles = int64(test.ComplexityFor(nMax).Ops())
+		opsPerWord := 0
+		for st := range test.Steps(cMax) {
+			opsPerWord += len(st.Element.Ops)
+		}
+		rep.Cycles = int64(opsPerWord * nMax)
 	}
 	return rep, nil
 }

@@ -327,3 +327,25 @@ func TestSchemesRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRawSimChargesExecutedBackgrounds: the raw simulator charges the
+// element executions the widest width allows. March CW sized for 128
+// bits runs the same five backgrounds on a 16-bit memory as March CW
+// sized for 16, so both cost the same cycles as the default test.
+func TestRawSimChargesExecutedBackgrounds(t *testing.T) {
+	plan := Plan{Name: "one", ClockNs: 10, Memories: []MemorySpec{
+		{Name: "m", Words: 16, Width: 16, DefectRate: 0.02, Seed: 4},
+	}}
+	cycles := func(opts ...Option) int64 {
+		t.Helper()
+		res, err := Diagnose(context.Background(), plan, append(opts, WithScheme("rawsim"))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Report.Cycles
+	}
+	wide, native, def := cycles(WithMarchTest(MarchCW(128))), cycles(WithMarchTest(MarchCW(16))), cycles()
+	if wide != native || native != def || def != 16*30 {
+		t.Fatalf("rawsim cycles: MarchCW(128) %d, MarchCW(16) %d, default %d; want all %d", wide, native, def, 16*30)
+	}
+}
